@@ -3,8 +3,10 @@
 Three subcommands: ``region`` runs a Monte Carlo region build and writes the
 CSV/JSON outputs, ``solve`` reports one boundary beamformer for a fixed
 channel realization, ``validate`` replays the oracle suites and writes a
-machine-readable report. Exit codes: 0 success, 1 validation violation,
-2 malformed scenario or flags, 3 solver failure beyond the 1% sample budget.
+machine-readable report; its checks import the scipy-backed oracles when they
+run, so the other commands never load scipy. Exit codes: 0 success, 1
+validation violation, 2 malformed scenario or flags, 3 solver failure beyond
+the 1% sample budget.
 """
 
 from __future__ import annotations
@@ -42,14 +44,6 @@ from .nonrecip import (
     randomize_rank_one,
     snr_targets,
 )
-from .oracle import (
-    best_wsis_grid,
-    feasibility_descent,
-    hull_bruteforce,
-    min_trace_descent,
-    random_beamformer_cloud,
-    wsis_objective,
-)
 from .recip import (
     broadcast_params_indiv,
     broadcast_params_sum,
@@ -63,6 +57,7 @@ from .recip import (
 from .region import (
     Scenario,
     build_region,
+    closed_hull,
     convex_hull,
     default_grid,
     points_expansion,
@@ -71,7 +66,7 @@ from .region import (
     region_json_text,
     sample_channels,
 )
-from .sdp import FEASIBILITY, SdpProblem, SdpStatus, solve_feasibility, solve_min_trace
+from .sdp import SdpProblem, SdpStatus, solve_feasibility, solve_min_trace
 
 __all__ = ["main", "build_parser", "scenario_from_dict", "load_scenario"]
 
@@ -360,7 +355,19 @@ def _unit_params(k: int) -> SystemParams:
     )
 
 
+def _sum_power_sweep_hull(ch: ChannelSet, sp: SystemParams) -> np.ndarray:
+    """Closed hull of the 10 W closed-form sweep of a reciprocal channel."""
+    pts = []
+    for mu in default_grid(0.02):
+        sol = wsismin_sum_power(ch, sp, 10.0, float(mu))
+        r = rate_pair(ch, sp, sum_power_beamformer(ch, sol))
+        pts.append([r.r1, r.r2])
+    return closed_hull(np.array(pts))
+
+
 def _check_recip_grid_optimality(seed: int) -> dict:
+    from .oracle import best_wsis_grid, wsis_objective
+
     rng = _spawned_rng(seed, 0)
     worst = -np.inf
     counterexample = None
@@ -383,17 +390,12 @@ def _check_recip_grid_optimality(seed: int) -> dict:
 
 
 def _check_recip_hull_containment(seed: int) -> dict:
+    from .oracle import random_beamformer_cloud
+
     rng = _spawned_rng(seed, 1)
     ch = _draw_channels(rng, 3, True)
     sp = _unit_params(3)
-    pts = []
-    for mu in default_grid(0.02):
-        sol = wsismin_sum_power(ch, sp, 10.0, float(mu))
-        r = rate_pair(ch, sp, sum_power_beamformer(ch, sol))
-        pts.append([r.r1, r.r2])
-    pts = np.array(pts)
-    anchors = np.array([[0.0, pts[:, 1].max()], [pts[:, 0].max(), 0.0]])
-    hull = convex_hull(np.vstack([pts, anchors]))
+    hull = _sum_power_sweep_hull(ch, sp)
     cloud = random_beamformer_cloud(ch, sp, SumPower(10.0), 2000, seed=seed, matched_phases=True)
     cloud_pts = np.array([[r.r1, r.r2] for _, r in cloud])
     expansion = points_expansion(hull, cloud_pts)
@@ -503,6 +505,8 @@ def _random_sdr_problem(rng: np.random.Generator, k: int, with_caps: bool) -> Sd
 
 
 def _check_sdp_certificates(seed: int) -> dict:
+    from .oracle import min_trace_descent
+
     rng = _spawned_rng(seed, 6)
     failures = []
     for trial in range(20):
@@ -534,13 +538,15 @@ def _check_sdp_certificates(seed: int) -> dict:
 
 
 def _check_sdp_feasibility_verdicts(seed: int) -> dict:
+    from .oracle import feasibility_descent
+
     rng = _spawned_rng(seed, 7)
     disagreements = []
     checked = 0
     for trial in range(10):
         prob = _random_sdr_problem(rng, 3, with_caps=True)
         feas_prob = SdpProblem(
-            dimension=3, objective=FEASIBILITY, constraints=prob.constraints, caps=prob.caps
+            dimension=3, objective=None, constraints=prob.constraints, caps=prob.caps
         )
         sol = solve_feasibility(feas_prob)
         verdict = sol.status is SdpStatus.OPTIMAL
@@ -560,6 +566,8 @@ def _check_sdp_feasibility_verdicts(seed: int) -> dict:
 
 
 def _check_region_hull_oracle(seed: int) -> dict:
+    from .oracle import hull_bruteforce
+
     rng = _spawned_rng(seed, 8)
     mismatches = 0
     for _ in range(5):
@@ -600,14 +608,7 @@ def _check_region_heuristics_inside(seed: int) -> dict:
     rng = _spawned_rng(seed, 9)
     ch = _draw_channels(rng, 3, True)
     sp = _unit_params(3)
-    pts = []
-    for mu in default_grid(0.02):
-        sol = wsismin_sum_power(ch, sp, 10.0, float(mu))
-        r = rate_pair(ch, sp, sum_power_beamformer(ch, sol))
-        pts.append([r.r1, r.r2])
-    pts = np.array(pts)
-    anchors = np.array([[0.0, pts[:, 1].max()], [pts[:, 0].max(), 0.0]])
-    hull = convex_hull(np.vstack([pts, anchors]))
+    hull = _sum_power_sweep_hull(ch, sp)
     r = rate_pair(ch, sp, greedy_phase_bf(ch, sp, SumPower(10.0)))
     expansion = points_expansion(hull, np.array([[r.r1, r.r2]]))
     return {

@@ -2,10 +2,11 @@
 
 The boundary of the rate region is traced one rate profile at a time: fix the
 split ``(kappa, 1 - kappa)`` of the sum rate, then bisect on the sum rate. Each
-bisection step asks a semidefinite program whether the implied SNR pair is
-supportable, via minimum relay power under a sum budget or via max-slack
-feasibility under per-relay caps. Sum-power solutions admit an exact rank-one
+bisection step asks one max-slack feasibility SDP whether the implied SNR
+pair is supportable, with a sum budget as one more trace row and per-relay
+caps as diagonal bounds. Sum-power solutions admit an exact rank-one
 reduction; individual-power solutions use randomized rank-one extraction.
+``min_power_sdp`` keeps the minimum-power relaxation as a tested reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .model import (
     rate_pair,
 )
 from .sdp import (
-    FEASIBILITY,
     SdpProblem,
     SdpSolution,
     SdpStatus,
@@ -214,59 +214,18 @@ def min_power_sdp(
     return solve_min_trace(problem)
 
 
-def algorithm1_sum_power(
+def _bisect_profile(
     ch: ChannelSet,
     sp: SystemParams,
-    p_r: float,
     kappa: float | RateProfile,
-    cfg: BisectionConfig = BisectionConfig(),
+    cfg: BisectionConfig,
+    budget: PowerBudget,
+    budget_rows: tuple[tuple[np.ndarray, float], ...] = (),
+    caps: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Largest relaxed sum rate supportable with total relay power ``p_r``.
-
-    Bisects the sum rate, accepting a step when the minimum-power SDP is
-    optimal within the budget. Returns the located rate and the PSD solution
-    of the last feasible step (zero when no positive rate fits).
-    """
-    if not p_r > 0.0:
-        raise DomainError("p_r must be positive")
-    r_up = cfg.r_max if cfg.r_max is not None else r_max_bound(ch, sp, SumPower(p_r))
-    r_low = 0.0
-    x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
-    for _ in range(cfg.max_iters):
-        if r_up - r_low < cfg.epsilon:
-            break
-        r = 0.5 * (r_low + r_up)
-        sol = min_power_sdp(ch, sp, kappa, r)
-        if sol.status is SdpStatus.OPTIMAL and sol.objective <= p_r * (1.0 + 1e-9):
-            r_low = r
-            x_best = sol.x
-        else:
-            r_up = r
-    else:
-        raise SolverError(
-            f"bisection did not reach epsilon={cfg.epsilon} in {cfg.max_iters} iterations"
-        )
-    return r_low, x_best
-
-
-def algorithm2_individual(
-    ch: ChannelSet,
-    sp: SystemParams,
-    p: np.ndarray,
-    kappa: float | RateProfile,
-    cfg: BisectionConfig = BisectionConfig(),
-) -> tuple[float, np.ndarray]:
-    """Largest relaxed sum rate supportable under per-relay power caps ``p``.
-
-    Same bisection as the sum-power driver, but each step asks a max-slack
-    feasibility SDP with the caps folded in as diagonal bounds X_ii <= p_i/D_ii.
-    """
-    caps_budget = IndividualPower(p)
-    if caps_budget.k != ch.k:
-        raise DomainError("per-relay caps must have one entry per relay")
-    nm = noise_matrices(ch, sp)
-    caps = caps_budget.p / nm.d
-    r_up = cfg.r_max if cfg.r_max is not None else r_max_bound(ch, sp, caps_budget)
+    """Bisect the sum rate on max-slack feasibility of the SNR targets plus
+    the relay budget, given as extra trace rows or as diagonal caps."""
+    r_up = cfg.r_max if cfg.r_max is not None else r_max_bound(ch, sp, budget)
     r_low = 0.0
     x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
     for _ in range(cfg.max_iters):
@@ -279,8 +238,8 @@ def algorithm2_individual(
             continue
         problem = SdpProblem(
             dimension=ch.k,
-            objective=FEASIBILITY,
-            constraints=snr_constraint_rows(ch, sp, gamma1, gamma2),
+            objective=None,
+            constraints=snr_constraint_rows(ch, sp, gamma1, gamma2) + budget_rows,
             caps=caps,
         )
         sol = solve_feasibility(problem)
@@ -294,6 +253,53 @@ def algorithm2_individual(
             f"bisection did not reach epsilon={cfg.epsilon} in {cfg.max_iters} iterations"
         )
     return r_low, x_best
+
+
+def algorithm1_sum_power(
+    ch: ChannelSet,
+    sp: SystemParams,
+    p_r: float,
+    kappa: float | RateProfile,
+    cfg: BisectionConfig = BisectionConfig(),
+) -> tuple[float, np.ndarray]:
+    """Largest relaxed sum rate supportable with total relay power ``p_r``.
+
+    Bisects the sum rate with one feasibility SDP per step: the two SNR rows
+    plus the budget row tr(D X) <= p_r. Returns the located rate and a PSD
+    witness of the last feasible step, scaled into the budget (zero when no
+    positive rate fits). With two SNR rows and one power row any such
+    witness reduces exactly to rank one, so no minimum-power solve is needed.
+    """
+    if not p_r > 0.0:
+        raise DomainError("p_r must be positive")
+    d = noise_matrices(ch, sp).d
+    budget_row = (-np.diag(d).astype(np.complex128), -p_r)
+    r_low, x_best = _bisect_profile(ch, sp, kappa, cfg, SumPower(p_r), budget_rows=(budget_row,))
+    # The feasibility tolerance lets the witness overshoot the budget by
+    # float dust; scale it back so extracted beamformers meet it exactly.
+    power = float(d @ np.real(np.diag(x_best)))
+    if power > p_r:
+        x_best = x_best * (p_r / power)
+    return r_low, x_best
+
+
+def algorithm2_individual(
+    ch: ChannelSet,
+    sp: SystemParams,
+    p: np.ndarray,
+    kappa: float | RateProfile,
+    cfg: BisectionConfig = BisectionConfig(),
+) -> tuple[float, np.ndarray]:
+    """Largest relaxed sum rate supportable under per-relay power caps ``p``.
+
+    Same bisection as the sum-power driver, with the caps folded into each
+    feasibility SDP as diagonal bounds X_ii <= p_i/D_ii.
+    """
+    caps_budget = IndividualPower(p)
+    if caps_budget.k != ch.k:
+        raise DomainError("per-relay caps must have one entry per relay")
+    caps = caps_budget.p / noise_matrices(ch, sp).d
+    return _bisect_profile(ch, sp, kappa, cfg, caps_budget, caps=caps)
 
 
 def _hermitian_basis(r: int) -> list[np.ndarray]:

@@ -47,6 +47,7 @@ __all__ = [
     "sample_channels",
     "build_region",
     "convex_hull",
+    "closed_hull",
     "points_expansion",
     "region_contains",
     "scenario_to_dict",
@@ -255,8 +256,8 @@ def _boundary_point(
     return (g * r_sum, (1.0 - g) * r_sum), (rnd.rates.r1, rnd.rates.r2)
 
 
-def _closed_hull(points: np.ndarray) -> np.ndarray:
-    # Time sharing with silence closes the region at both axes.
+def closed_hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull of rate pairs, closed at both axes by time sharing with silence."""
     anchors = np.array([[0.0, points[:, 1].max()], [points[:, 0].max(), 0.0]])
     return convex_hull(np.vstack([points, anchors]))
 
@@ -307,7 +308,7 @@ def build_region(sc: Scenario) -> RegionResult:
             grid=kept_grid,
             means=rand_means,
             n_success=kept_success,
-            hull=_closed_hull(rand_means),
+            hull=closed_hull(rand_means),
             samples=secondary[:, keep, :] if sc.keep_samples else None,
         )
     if sc.reciprocal:
@@ -321,7 +322,7 @@ def build_region(sc: Scenario) -> RegionResult:
         grid=kept_grid,
         means=means,
         n_success=kept_success,
-        hull=_closed_hull(means),
+        hull=closed_hull(means),
         samples=primary[:, keep, :] if sc.keep_samples else None,
         randomized=companion,
     )

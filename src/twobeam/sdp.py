@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, SolverError
 
 __all__ = [
-    "Feasibility",
     "FEASIBILITY",
     "SdpStatus",
     "SdpProblem",
@@ -44,21 +43,8 @@ _OPT_TOL = 1e-9
 _MAX_ITERS = 100
 
 
-class Feasibility:
-    """Marker used as the objective of a pure feasibility problem."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "FEASIBILITY"
-
-
-FEASIBILITY = Feasibility()
+# The objective of a pure feasibility problem: there is nothing to minimize.
+FEASIBILITY = None
 
 
 class SdpStatus(enum.Enum):
@@ -82,24 +68,23 @@ class SdpProblem:
     """Minimize tr(C X) (or find any X) over PSD X with linear trace bounds.
 
     Every constraint reads tr(A_i X) >= b_i; diagonal caps add X_ii <= u_i.
+    An objective of None poses a pure feasibility problem.
     """
 
     dimension: int
-    objective: np.ndarray | Feasibility
+    objective: np.ndarray | None
     constraints: tuple[tuple[np.ndarray, float], ...]
     caps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.dimension <= MAX_DIMENSION:
             raise DomainError(f"dimension must lie in [1, {MAX_DIMENSION}]")
-        if isinstance(self.objective, Feasibility):
-            obj = FEASIBILITY
-        else:
+        if self.objective is not None:
             obj = _check_hermitian(self.objective, "objective")
             if obj.shape[0] != self.dimension:
                 raise DimensionMismatchError("objective dimension mismatch")
             obj.setflags(write=False)
-        object.__setattr__(self, "objective", obj)
+            object.__setattr__(self, "objective", obj)
         rows = []
         for a, b in self.constraints:
             a = _check_hermitian(a, "constraint matrix")
@@ -122,7 +107,7 @@ class SdpProblem:
 
     @property
     def is_feasibility(self) -> bool:
-        return isinstance(self.objective, Feasibility)
+        return self.objective is None
 
 
 @dataclass(frozen=True)

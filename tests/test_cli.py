@@ -1,10 +1,15 @@
 """Command-line front end: parsing, exit codes, emitted files, reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twobeam
 from twobeam.cli import _apply_overrides, main, scenario_from_dict
 from twobeam.errors import ScenarioError, SolverError
 from twobeam.region import build_region, scenario_to_dict
@@ -312,6 +317,13 @@ class TestSolveCommand:
 
 
 class TestValidateCommand:
+    def test_oracles_load_only_for_validate(self):
+        # scipy backs only the validate oracles; region and solve skip it.
+        src = Path(twobeam.__file__).resolve().parents[1]
+        code = "import sys, twobeam.cli; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_region_suite_passes_and_writes_report(self, tmp_path, capsys):
         assert main(["validate", "region", "--out", str(tmp_path)]) == 0
         stdout = capsys.readouterr().out

@@ -1,10 +1,13 @@
 """Rate-profile pipeline: bisection drivers, rank-one recovery, SNR targets."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from twobeam.cli import load_scenario, main
 from twobeam.errors import DomainError, SolverError
 from twobeam.model import (
     Beamformer,
@@ -32,9 +35,12 @@ from twobeam.nonrecip import (
     snr_targets,
 )
 from twobeam.recip import sum_power_beamformer, wsismin_sum_power
+from twobeam.region import sample_channels
 from twobeam.sdp import SdpStatus
 
 from helpers import draw_nonreciprocal, draw_reciprocal, unit_params
+
+SHIPPED_SUM = Path(__file__).resolve().parents[1] / "scenarios" / "nonreciprocal-sum.json"
 
 
 class TestRateProfile:
@@ -225,6 +231,25 @@ class TestAlgorithm1:
         assert at_low.objective <= 10.0 * (1.0 + 1e-9)
         probe = min_power_sdp(ch, sp, 0.4, r_sum + 2.0 * cfg.epsilon)
         assert probe.status is not SdpStatus.OPTIMAL or probe.objective > 10.0
+
+    def test_shipped_scenario_solves_within_budget_without_min_power(self, monkeypatch, capsys):
+        # Each step asks one feasibility SDP; the min-trace solver is only a
+        # reference and must not run on the solve path.
+        def forbidden(problem):
+            raise AssertionError("pooled bisection called solve_min_trace")
+
+        monkeypatch.setattr("twobeam.nonrecip.solve_min_trace", forbidden)
+        sc = load_scenario(str(SHIPPED_SUM))
+        for seed in (1, 2, 3):
+            ch = sample_channels(sc, seed)
+            d = noise_matrices(ch, sc.params).d
+            for kappa in (0.2, 0.5, 1.0):
+                r_sum, x_best = algorithm1_sum_power(ch, sc.params, sc.budget.p_r, kappa)
+                assert r_sum > 0.0
+                # Only rounding of the final rescale may remain above the budget.
+                assert d @ np.real(np.diag(x_best)) <= sc.budget.p_r * (1.0 + 1e-12)
+        assert main(["solve", str(SHIPPED_SUM), "--kappa", "0.5"]) == 0
+        assert "budget check (sum <= 10.0 W): ok" in capsys.readouterr().out
 
     def test_exhausted_iterations_raise(self):
         rng = np.random.default_rng(34)
