@@ -3,14 +3,20 @@
 Scope is deliberately narrow: minimize a real trace objective, or maximize a
 common slack, over a Hermitian PSD matrix with linear trace inequality
 constraints and optional diagonal caps. Problems are tiny (K rarely above
-16), so the implementation favors robustness over speed:
+20), and one primal-dual interior-point method serves both shapes:
 
-* the complex Hermitian variable is embedded as a structured real symmetric
-  matrix of twice the size, which doubles trace inner products;
-* every inequality row carries its own dedicated slack, making the Newton
-  normal matrix symmetric positive definite by construction;
+* the variable stays a K x K complex Hermitian matrix, paired with the
+  data as 2 Re tr(A X), so scales and tolerances read as in a real
+  symmetric embedding of twice the size;
+* the general trace rows are one stacked array and the caps a vector, so
+  the Newton (Schur complement) matrix is built without a loop over rows:
+  the general rows from one batched W A W product, the cap rows from its
+  diagonals and from |W_ik|^2 in closed form;
+* every inequality row carries its own dedicated slack, making that
+  matrix symmetric positive definite by construction;
 * the search direction is a Mehrotra predictor-corrector step under
-  Nesterov-Todd scaling, the standard primal-dual recipe for this cone.
+  Nesterov-Todd scaling, computed from the Cholesky factors of X and Z and
+  one SVD, which makes both scaled iterates the same diagonal matrix.
 
 Feasibility questions are answered by maximizing how far all relaxable
 constraints can be pushed past their bounds simultaneously, which is a
@@ -124,48 +130,41 @@ class SdpSolution:
         object.__setattr__(self, "x", x)
 
 
-def _embed(a: np.ndarray) -> np.ndarray:
-    re, im = np.real(a), np.imag(a)
-    return np.block([[re, -im], [im, re]])
+def _herm(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
 
 
-def _unembed(y: np.ndarray, k: int) -> np.ndarray:
-    # Congruence with [I, jI]/sqrt(2): preserves PSD and halves the trace pairing.
-    x = 0.5 * (y[:k, :k] + y[k:, k:]) + 0.5j * (y[k:, :k] - y[:k, k:])
-    return 0.5 * (x + x.conj().T)
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product 2 Re tr(A B) of Hermitian matrices."""
+    return 2.0 * float(np.vdot(a, b).real)
 
 
-def _sym_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(a)
-    vals = np.maximum(vals, 1e-300)
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
+def _norm(a: np.ndarray) -> float:
+    """The norm the pairing induces: sqrt(2) times the Frobenius norm."""
+    return float(np.sqrt(2.0) * np.linalg.norm(a))
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """NT scaling point W with WZW = X, plus W^{1/2} and W^{-1/2}."""
-    xs, _ = _sym_sqrt(x)
-    vals, vecs = np.linalg.eigh(xs @ z @ xs)
-    vals = np.maximum(vals, 1e-300)
-    inner = (vecs / np.sqrt(vals)) @ vecs.T
-    w = xs @ inner @ xs
-    w = 0.5 * (w + w.T)
-    w_half, w_inv_half = _sym_sqrt(w)
-    return w, w_half, w_inv_half
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
 
 
-def _solve_jordan(lam_vals: np.ndarray, lam_vecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Solve (lam G + G lam)/2 = rhs for symmetric G, in lam's eigenbasis.
-    r = lam_vecs.T @ rhs @ lam_vecs
-    denom = 0.5 * (lam_vals[:, None] + lam_vals[None, :])
-    g = r / denom
-    return lam_vecs @ g @ lam_vecs.T
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A factor F with A = F F^H, and its inverse.
+
+    Cholesky, except near the cone boundary where roundoff can make it
+    fail; there the eigendecomposition gives a square-root factor instead.
+    """
+    try:
+        f = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(a)
+        f = vecs * np.sqrt(np.maximum(vals, 1e-300))
+    return f, np.linalg.inv(f)
 
 
-def _max_step_psd(x: np.ndarray, dx: np.ndarray) -> float:
-    _, x_inv_half = _sym_sqrt(x)
-    r = x_inv_half @ dx @ x_inv_half
-    lo = float(np.linalg.eigvalsh(0.5 * (r + r.T))[0])
+def _max_step_psd(f_inv: np.ndarray, d: np.ndarray) -> float:
+    # Largest step keeping F F^H + alpha d PSD, read off F^-1 d F^-H.
+    lo = float(np.linalg.eigvalsh(_herm(f_inv @ d @ f_inv.conj().T))[0])
     return np.inf if lo >= 0.0 else 1.0 / (-lo)
 
 
@@ -178,7 +177,7 @@ def _max_step_lin(u: np.ndarray, du: np.ndarray) -> float:
 
 def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     jitter = 0.0
-    base = float(np.trace(m)) / m.shape[0]
+    base = float(np.trace(m)) / max(1, m.shape[0])
     for _ in range(4):
         try:
             cf = np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
@@ -192,184 +191,184 @@ def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _run_ipm(
     c_mat: np.ndarray,
     c_lin: np.ndarray,
-    f_mats: list[np.ndarray],
+    mats: np.ndarray,
+    cap_coef: np.ndarray,
     g_mat: np.ndarray,
     b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Primal-dual interior point for the internal equality-form program.
 
-    minimize  <c_mat, X> + c_lin . u
-    s.t.      <f_mats[j], X> + g_mat[j] . u = b[j],   X PSD,  u >= 0
+    minimize  <C, X> + c_lin . u
+    s.t.      A(X) + g_mat u = b,   X Hermitian PSD,  u >= 0
 
-    Returns (X, u, y, Z, z, converged). Every row is assumed to touch at
-    least one dedicated linear variable, so the Schur complement stays
-    positive definite.
+    with <A, X> = 2 Re tr(A X). The rows of A(X) are <mats[j], X> for the
+    stacked general rows, then <cap_coef[i] e_i e_i^H, X> for the cap rows
+    (none, or one per dimension).
+
+    Returns (X, u, y, converged). Every row is assumed to touch at least
+    one dedicated linear variable, so the Schur complement stays positive
+    definite.
     """
-    n = c_mat.shape[0]
+    k = c_mat.shape[0]
+    q, kc = mats.shape[0], cap_coef.size
     m = c_lin.size
     p = b.size
+    mats_flat = mats.reshape(q, k * k)
+    mats_conj = mats_flat.conj()
+    caps = np.arange(kc)
+    cap_outer = 2.0 * np.outer(cap_coef, cap_coef)
+    # Under the pairing each eigenvalue of X counts twice, so the cone has
+    # the barrier degree 2K of its real embedding.
+    degree = 2 * k + m
 
-    scale0 = max(1.0, float(np.max(np.abs(b))) if p else 1.0, float(np.linalg.norm(c_mat)))
-    x = scale0 * np.eye(n)
-    z = scale0 * np.eye(n)
+    def rows(xm: np.ndarray) -> np.ndarray:
+        return 2.0 * np.concatenate(
+            [(mats_conj @ xm.ravel()).real, cap_coef * xm[caps, caps].real]
+        )
+
+    def adjoint(yv: np.ndarray) -> np.ndarray:
+        out = (yv[:q] @ mats_flat).reshape(k, k)
+        out[caps, caps] += cap_coef * yv[q:]
+        return out
+
+    scale0 = max(1.0, float(np.max(np.abs(b))) if p else 1.0, _norm(c_mat))
+    x = scale0 * np.eye(k, dtype=np.complex128)
+    z = scale0 * np.eye(k, dtype=np.complex128)
     u = np.full(m, scale0)
     zl = np.full(m, scale0)
     y = np.zeros(p)
 
     b_scale = 1.0 + (float(np.max(np.abs(b))) if p else 0.0)
-    c_scale = 1.0 + float(np.linalg.norm(c_mat)) + (float(np.max(np.abs(c_lin))) if m else 0.0)
-
-    def inner_rows(xm: np.ndarray, uv: np.ndarray) -> np.ndarray:
-        vals = np.array([float(np.sum(f * xm)) for f in f_mats])
-        return vals + g_mat @ uv
+    c_scale = 1.0 + _norm(c_mat) + (float(np.max(np.abs(c_lin))) if m else 0.0)
 
     # Near machine-level duality gaps the Newton system loses accuracy and the
     # primal residual can drift back up, so keep the best iterate seen and be
     # willing to settle for it slightly above the target tolerance.
-    best = (x, u, y, z, zl)
+    best = (x, u, y)
     best_marks = (np.inf, np.inf, np.inf)
 
     for _ in range(_MAX_ITERS):
         # Stray overflow in intermediate products is handled by the finite
         # checks below, so keep numpy quiet about it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            finite = (
-                np.all(np.isfinite(x))
-                and np.all(np.isfinite(z))
-                and np.all(np.isfinite(u))
-                and np.all(np.isfinite(zl))
-                and np.all(np.isfinite(y))
-            )
-            if not finite:
+            if not _finite(x, z, u, zl, y):
                 break
-            r_p = b - inner_rows(x, u)
-            r_d_mat = c_mat - sum(y[j] * f_mats[j] for j in range(p)) - z
+            r_p = b - rows(x) - g_mat @ u
+            r_d_mat = c_mat - adjoint(y) - z
             r_d_lin = c_lin - g_mat.T @ y - zl
-            gap = float(np.sum(x * z)) + float(u @ zl)
-            mu = gap / (n + m)
-            p_obj = float(np.sum(c_mat * x)) + float(c_lin @ u)
+            gap = _pair(x, z) + float(u @ zl)
+            mu = gap / degree
+            p_obj = _pair(c_mat, x) + float(c_lin @ u)
             d_obj = float(b @ y)
             rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
             p_res = float(np.max(np.abs(r_p))) / b_scale if p else 0.0
             d_res = max(
-                float(np.linalg.norm(r_d_mat)) / c_scale,
+                _norm(r_d_mat) / c_scale,
                 (float(np.max(np.abs(r_d_lin))) / c_scale) if m else 0.0,
             )
             if max(p_res, d_res, rel_gap) < max(best_marks):
-                best = (x, u, y, z, zl)
+                best = (x, u, y)
                 best_marks = (p_res, d_res, rel_gap)
             if p_res <= _OPT_TOL and d_res <= _OPT_TOL and rel_gap <= _OPT_TOL:
-                return x, u, y, z, zl, True
+                return x, u, y, True
             if mu <= 1e-14:
                 break
 
             try:
-                w, w_half, w_inv_half = _nt_scaling(x, z)
-                lam = w_inv_half @ x @ w_inv_half
-                lam = 0.5 * (lam + lam.T)
-                lam_vals, lam_vecs = np.linalg.eigh(lam)
-                lam_vals = np.maximum(lam_vals, 1e-300)
-                if not np.all(np.isfinite(lam_vals)) or lam_vals[-1] > 1e120:
+                # Nesterov-Todd scaling from X = L L^H, Z = R R^H and the SVD
+                # R^H L = U S V^H: G = L V S^-1/2 scales both X and Z to the
+                # diagonal point lam = S, and W = G G^H satisfies W Z W = X.
+                l_fac, l_inv = _factor(x)
+                r_fac, r_inv = _factor(z)
+                svd_u, lam, svd_vh = np.linalg.svd(r_fac.conj().T @ l_fac)
+                lam = np.maximum(lam, 1e-300)
+                if not _finite(lam) or lam[0] > 1e120:
                     break
+                root = np.sqrt(lam)
+                g = (l_fac @ svd_vh.conj().T) / root
+                g_inv = (svd_u.conj().T @ r_fac.conj().T) / root[:, None]
+                w = g @ g.conj().T
+                jordan = 0.5 * (lam[:, None] + lam[None, :])
                 w_lin_sq = u / zl
 
-                w_f_w = [w @ f @ w for f in f_mats]
-                schur = np.empty((p, p))
-                for j in range(p):
-                    for kk in range(j, p):
-                        schur[j, kk] = schur[kk, j] = float(np.sum(f_mats[j] * w_f_w[kk]))
+                # Schur complement <A_i, W A_j W> from the row structure:
+                # general rows by one batched product, cap rows from its
+                # diagonals and, between caps, 2 c_i c_k |W_ik|^2.
+                w_f_w = w @ mats @ w
+                schur = np.zeros((p, p))
+                gen = 2.0 * (mats_conj @ w_f_w.reshape(q, k * k).T).real
+                schur[:q, :q] = 0.5 * (gen + gen.T)
+                gen_cap = 2.0 * w_f_w[:, caps, caps].real * cap_coef
+                schur[:q, q:] = gen_cap
+                schur[q:, :q] = gen_cap.T
+                schur[q:, q:] = cap_outer * np.abs(w[:kc, :kc]) ** 2
                 schur += (g_mat * w_lin_sq) @ g_mat.T
+                w_rd_w = w @ r_d_mat @ w
 
                 def solve_direction(target_mat: np.ndarray, target_lin: np.ndarray):
                     # target_*: right-hand sides of the linearized complementarity
-                    # equations, in scaled space for the PSD block.
-                    g_s = _solve_jordan(lam_vals, lam_vecs, target_mat)
-                    s_mat = w_half @ g_s @ w_half
+                    # equations, in scaled space for the PSD block, where the
+                    # Jordan product with the diagonal lam divides elementwise.
+                    s_mat = g @ (target_mat / jordan) @ g.conj().T
                     du_part = (target_lin - u * r_d_lin) / zl
-                    rhs = np.array(
-                        [
-                            r_p[j]
-                            - float(np.sum(f_mats[j] * s_mat))
-                            + float(np.sum(f_mats[j] * (w @ r_d_mat @ w)))
-                            - float(g_mat[j] @ du_part)
-                            for j in range(p)
-                        ]
-                    )
+                    rhs = r_p - rows(s_mat - w_rd_w) - g_mat @ du_part
                     dy = _chol_solve(schur, rhs)
-                    dz_mat = r_d_mat - sum(dy[j] * f_mats[j] for j in range(p))
-                    dz_mat = 0.5 * (dz_mat + dz_mat.T)
-                    dx = s_mat - w @ dz_mat @ w
-                    dx = 0.5 * (dx + dx.T)
+                    dz_mat = _herm(r_d_mat - adjoint(dy))
+                    dx = _herm(s_mat - w @ dz_mat @ w)
                     dz_lin = r_d_lin - g_mat.T @ dy
                     du = du_part + w_lin_sq * (g_mat.T @ dy)
                     return dx, du, dy, dz_mat, dz_lin
 
                 # Predictor: aim at zero complementarity.
-                aff_mat = -(lam @ lam)
-                aff_mat = 0.5 * (aff_mat + aff_mat.T)
-                aff_lin = -(u * zl)
-                dxa, dua, dya, dza, dzla = solve_direction(aff_mat, aff_lin)
+                lam_sq = np.diag(lam * lam)
+                dxa, dua, dya, dza, dzla = solve_direction(-lam_sq, -(u * zl))
 
-                ap = min(_max_step_psd(x, dxa), _max_step_lin(u, dua), 1.0)
-                ad = min(_max_step_psd(z, dza), _max_step_lin(zl, dzla), 1.0)
-                gap_aff = float(np.sum((x + ap * dxa) * (z + ad * dza))) + float(
+                ap = min(_max_step_psd(l_inv, dxa), _max_step_lin(u, dua), 1.0)
+                ad = min(_max_step_psd(r_inv, dza), _max_step_lin(zl, dzla), 1.0)
+                gap_aff = _pair(x + ap * dxa, z + ad * dza) + float(
                     (u + ap * dua) @ (zl + ad * dzla)
                 )
                 sigma = min(1.0, max((gap_aff / gap) ** 3, 1e-12)) if gap > 0.0 else 1e-12
 
-                dxa_s = w_inv_half @ dxa @ w_inv_half
-                dza_s = w_half @ dza @ w_half
-                cross = dxa_s @ dza_s
-                corr_mat = sigma * mu * np.eye(n) - lam @ lam - 0.5 * (cross + cross.T)
-                corr_mat = 0.5 * (corr_mat + corr_mat.T)
+                cross = (g_inv @ dxa @ g_inv.conj().T) @ (g.conj().T @ dza @ g)
+                corr_mat = sigma * mu * np.eye(k) - lam_sq - _herm(cross)
                 corr_lin = sigma * mu - u * zl - dua * dzla
                 dx, du, dy, dz, dzl = solve_direction(corr_mat, corr_lin)
-                step_finite = (
-                    np.all(np.isfinite(dx))
-                    and np.all(np.isfinite(du))
-                    and np.all(np.isfinite(dz))
-                    and np.all(np.isfinite(dzl))
-                    and np.all(np.isfinite(dy))
-                )
-                if not step_finite:
+                if not _finite(dx, du, dz, dzl, dy):
                     break
 
-                ap = 0.99 * min(_max_step_psd(x, dx), _max_step_lin(u, du))
-                ad = 0.99 * min(_max_step_psd(z, dz), _max_step_lin(zl, dzl))
+                ap = 0.99 * min(_max_step_psd(l_inv, dx), _max_step_lin(u, du))
+                ad = 0.99 * min(_max_step_psd(r_inv, dz), _max_step_lin(zl, dzl))
                 ap, ad = min(ap, 1.0), min(ad, 1.0)
-                x = x + ap * dx
+                x = _herm(x + ap * dx)
                 u = u + ap * du
                 y = y + ad * dy
-                z = z + ad * dz
+                z = _herm(z + ad * dz)
                 zl = zl + ad * dzl
-                x = 0.5 * (x + x.T)
-                z = 0.5 * (z + z.T)
             except np.linalg.LinAlgError:
                 break
 
-    x, u, y, z, zl = best
+    x, u, y = best
     converged = all(mark <= 10.0 * _OPT_TOL for mark in best_marks)
-    return x, u, y, z, zl, converged
+    return x, u, y, converged
 
 
-def _normalized_rows(problem: SdpProblem) -> tuple[list[np.ndarray], list[float], list[float]]:
-    """Embedded, row-normalized (A, b, scale) triples, caps folded in as rows."""
-    mats, bounds, scales = [], [], []
-    for a, b in problem.constraints:
-        s = max(1.0, float(np.linalg.norm(a)), abs(b))
-        mats.append(_embed(a / s))
-        bounds.append(2.0 * b / s)
-        scales.append(s)
-    if problem.caps is not None:
-        for i in range(problem.dimension):
-            e = np.zeros((problem.dimension, problem.dimension), dtype=np.complex128)
-            e[i, i] = -1.0
-            u_i = float(problem.caps[i])
-            s = max(1.0, u_i)
-            mats.append(_embed(e / s))
-            bounds.append(2.0 * (-u_i) / s)
-            scales.append(s)
-    return mats, bounds, scales
+def _normalized_rows(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-normalized (mats, cap_coef, bounds) in the 2 Re tr pairing.
+
+    Each general row A, b is divided by s = max(1, ||A||, |b|) and stacked
+    into mats; a cap X_ii <= u_i is the row -X_ii / s_i >= -u_i / s_i with
+    s_i = max(1, u_i), kept as its coefficient -1/s_i. bounds lists 2 b / s,
+    general rows first, then caps.
+    """
+    k = problem.dimension
+    a = np.array([a for a, _ in problem.constraints], dtype=np.complex128).reshape(-1, k, k)
+    b = np.array([b for _, b in problem.constraints], dtype=np.float64)
+    s = np.maximum(np.maximum(1.0, np.linalg.norm(a, axis=(1, 2))), np.abs(b))
+    u = problem.caps if problem.caps is not None else np.zeros(0)
+    s_cap = np.maximum(1.0, u)
+    bounds = np.concatenate([2.0 * b / s, 2.0 * (-u) / s_cap])
+    return a / s[:, None, None], -1.0 / s_cap, bounds
 
 
 def _violation(problem: SdpProblem, x: np.ndarray) -> float:
@@ -378,10 +377,8 @@ def _violation(problem: SdpProblem, x: np.ndarray) -> float:
         s = max(1.0, float(np.linalg.norm(a)), abs(b))
         worst = max(worst, (b - float(np.real(np.sum(a.conj() * x)))) / s)
     if problem.caps is not None:
-        diag = np.real(np.diag(x))
-        for i in range(problem.dimension):
-            s = max(1.0, float(problem.caps[i]))
-            worst = max(worst, (diag[i] - float(problem.caps[i])) / s)
+        over = (np.real(np.diag(x)) - problem.caps) / np.maximum(1.0, problem.caps)
+        worst = max(worst, float(np.max(over)))
     lo = float(np.linalg.eigvalsh(x)[0])
     norm = max(1.0, float(np.linalg.norm(x)))
     worst = max(worst, -lo / norm if lo < 0.0 else 0.0)
@@ -461,65 +458,47 @@ def _solve_max_slack(problem: SdpProblem) -> tuple[float, np.ndarray, float, boo
     """Maximize the common relaxation slack t (capped at 1).
 
     Rows with a zero bound are not relaxed; their scale would be meaningless.
-    Returns (t_star, X, rel_gap, converged).
+    Caps are never relaxed. Returns (t_star, X, rel_gap, converged).
     """
-    k2 = 2 * problem.dimension
-    mats, bounds, scales = _normalized_rows(problem)
-    n_rows = len(mats)
-    relax = np.zeros(n_rows)
-    for j, (_, b) in enumerate(problem.constraints):
-        # After row normalization the slack coefficient is |b| / scale.
-        relax[j] = abs(2.0 * b) / scales[j]
+    k = problem.dimension
+    mats, cap_coef, bounds = _normalized_rows(problem)
+    n_rows = bounds.size
+    # After row normalization the slack coefficient is |b| / scale.
+    relax = np.abs(bounds)
+    relax[mats.shape[0] :] = 0.0
 
-    # Linear block: one slack per row, then t+, t-, and the t-cap slack.
-    m_lin = n_rows + 3
-    p_rows = n_rows + 1
-    g_mat = np.zeros((p_rows, m_lin))
-    f_mats = []
-    b_vec = np.zeros(p_rows)
-    for j in range(n_rows):
-        f_mats.append(mats[j])
-        g_mat[j, j] = -1.0
-        g_mat[j, n_rows] = -relax[j]
-        g_mat[j, n_rows + 1] = relax[j]
-        b_vec[j] = bounds[j]
-    f_mats.append(np.zeros((k2, k2)))
-    g_mat[n_rows, n_rows] = 1.0  # t+
-    g_mat[n_rows, n_rows + 1] = -1.0  # t-
-    g_mat[n_rows, n_rows + 2] = 1.0  # cap slack
-    b_vec[n_rows] = 1.0
+    # Write t = 1 - c with c >= 0: min c s.t. A(X) - slack + relax c =
+    # b + relax. This keeps the cap t <= 1 without a free variable, whose
+    # split t+ - t- lets both halves drift upward together and stalls the
+    # solve near its tolerance.
+    g_mat = np.hstack([-np.eye(n_rows), relax[:, None]])
+    b_vec = bounds + relax
+    c_lin = np.zeros(n_rows + 1)
+    c_lin[n_rows] = 1.0
 
-    c_lin = np.zeros(m_lin)
-    c_lin[n_rows] = -1.0
-    c_lin[n_rows + 1] = 1.0
-
-    x, u, y, z, zl, ok = _run_ipm(np.zeros((k2, k2)), c_lin, f_mats, g_mat, b_vec)
-    t_star = float(u[n_rows] - u[n_rows + 1])
+    x, u, y, ok = _run_ipm(
+        np.zeros((k, k), dtype=np.complex128), c_lin, mats, cap_coef, g_mat, b_vec
+    )
+    t_star = 1.0 - float(u[n_rows])
     p_obj = -t_star
-    d_obj = float(b_vec @ y)
+    d_obj = float(b_vec @ y) - 1.0
     rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
-    return t_star, _unembed(x, problem.dimension), rel_gap, ok
+    return t_star, x, rel_gap, ok
 
 
 def _solve_trace_objective(problem: SdpProblem) -> tuple[float, np.ndarray, float, float, bool]:
     """Minimize the trace objective; returns (obj, X, rel_gap, dual_obj, ok)."""
-    mats, bounds, _ = _normalized_rows(problem)
-    n_rows = len(mats)
+    mats, cap_coef, bounds = _normalized_rows(problem)
+    n_rows = bounds.size
     # The objective stays in original units so the interior-point duality gap
     # certifies the reported one; row scaling alone leaves b.y unchanged.
-    c_mat = _embed(problem.objective)
-
-    g_mat = np.zeros((n_rows, n_rows))
-    np.fill_diagonal(g_mat, -1.0)
-    c_lin = np.zeros(n_rows)
-    b_vec = np.array(bounds)
-
-    x, u, y, z, zl, ok = _run_ipm(c_mat, c_lin, mats, g_mat, b_vec)
-    # The embedding doubles every pairing; halve to report in complex units.
-    p_obj = 0.5 * float(np.sum(c_mat * x))
-    d_obj = 0.5 * float(b_vec @ y)
+    c_mat = problem.objective
+    x, u, y, ok = _run_ipm(c_mat, np.zeros(n_rows), mats, cap_coef, -np.eye(n_rows), bounds)
+    # The pairing doubles every trace; halve to report tr(C X).
+    p_obj = 0.5 * _pair(c_mat, x)
+    d_obj = 0.5 * float(bounds @ y)
     rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
-    return p_obj, _unembed(x, problem.dimension), rel_gap, d_obj, ok
+    return p_obj, x, rel_gap, d_obj, ok
 
 
 def solve_min_trace(problem: SdpProblem) -> SdpSolution:
@@ -567,8 +546,9 @@ def solve_min_trace(problem: SdpProblem) -> SdpSolution:
             max_violation=viol,
             duality_gap=rel_gap,
         )
-    # Weak duality sanity: the reported minimum can never undercut its bound.
-    assert obj >= d_obj - 1e-6 * (1.0 + abs(obj) + abs(d_obj))
+    # Weak duality: a minimum below its own dual bound certifies nothing.
+    if obj < d_obj - 1e-6 * (1.0 + abs(obj) + abs(d_obj)):
+        raise SolverError(f"minimum {obj!r} undercuts its dual bound {d_obj!r}")
     return SdpSolution(
         x=x_full,
         status=SdpStatus.OPTIMAL,

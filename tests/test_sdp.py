@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twobeam.errors import DimensionMismatchError, DomainError
+from helpers import draw_nonreciprocal, unit_params
+from twobeam import sdp
+from twobeam.errors import DimensionMismatchError, DomainError, SolverError
+from twobeam.model import IndividualPower, SumPower, noise_matrices
+from twobeam.nonrecip import r_max_bound, snr_constraint_rows, snr_targets
 from twobeam.oracle import feasibility_descent, min_trace_descent
 from twobeam.sdp import (
     FEASIBILITY,
@@ -336,3 +340,85 @@ class TestFeasibility:
         sol = solve_feasibility(prob)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective >= -1e-8
+
+
+def relay_instance(rng: np.random.Generator, k: int):
+    """Channels, parameters and per-relay caps X_ii <= p_i / D_ii of one relay draw."""
+    ch = draw_nonreciprocal(rng, k)
+    sp = unit_params(k)
+    p = rng.uniform(0.5, 3.0, size=k)
+    return ch, sp, p, p / noise_matrices(ch, sp).d
+
+
+def within_caps(x: np.ndarray, caps: np.ndarray) -> bool:
+    return bool(np.all(np.real(np.diag(x)) <= caps + 1e-8 * np.maximum(1.0, caps)))
+
+
+class TestStructuredRows:
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_caps_agree_with_explicit_trace_rows(self, k):
+        # The caps vector and the same caps written as general rows
+        # (-e_i e_i^H, -u_i) pose one feasibility question.
+        rng = np.random.default_rng(400 + k)
+        seen = set()
+        for _ in range(3):
+            ch, sp, p, caps = relay_instance(rng, k)
+            cap_rows = tuple((-np.diag(e).astype(complex), -u) for e, u in zip(np.eye(k), caps))
+            r_top = r_max_bound(ch, sp, IndividualPower(p))
+            for frac in (0.1, 0.4, 0.7, 1.0):
+                rows = snr_constraint_rows(ch, sp, *snr_targets(0.5, frac * r_top))
+                structured = solve_feasibility(SdpProblem(k, FEASIBILITY, rows, caps=caps))
+                explicit = solve_feasibility(SdpProblem(k, FEASIBILITY, rows + cap_rows))
+                assert structured.status is explicit.status
+                seen.add(structured.status)
+                # Caps are hard in the structured form. As general rows they
+                # relax with the margin, so only a feasible X must meet them.
+                assert within_caps(structured.x, caps)
+                if explicit.status is SdpStatus.OPTIMAL:
+                    assert within_caps(explicit.x, caps)
+        assert seen == {SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE}
+
+    @pytest.mark.parametrize("budget", ["caps", "pooled"])
+    def test_max_dimension_is_certified(self, budget):
+        k = MAX_DIMENSION
+        rng = np.random.default_rng(7)
+        ch, sp, p, caps = relay_instance(rng, k)
+        if budget == "caps":
+            extra, r_top = (), r_max_bound(ch, sp, IndividualPower(p))
+        else:
+            d = noise_matrices(ch, sp).d
+            extra = ((-np.diag(d).astype(complex), -float(p.sum())),)
+            caps, r_top = None, r_max_bound(ch, sp, SumPower(float(p.sum())))
+        for frac in (0.2, 1.0):
+            rows = snr_constraint_rows(ch, sp, *snr_targets(0.5, frac * r_top)) + extra
+            sol = solve_feasibility(SdpProblem(k, FEASIBILITY, rows, caps=caps))
+            certified = sol.status is SdpStatus.INFEASIBLE or (
+                sol.status is SdpStatus.OPTIMAL and sol.max_violation <= 1e-8
+            )
+            assert certified, (frac, sol.status, sol.max_violation)
+
+    def test_no_rows_is_solved(self):
+        eye = np.eye(2, dtype=complex)
+        feas = solve_feasibility(SdpProblem(2, FEASIBILITY, ()))
+        assert feas.status is SdpStatus.OPTIMAL
+        least = solve_min_trace(SdpProblem(2, eye, ()))
+        assert least.status is SdpStatus.OPTIMAL
+        assert least.objective == pytest.approx(0.0, abs=1e-7)
+
+
+class TestWeakDuality:
+    def test_dual_bound_above_minimum_raises(self, monkeypatch):
+        real = sdp._solve_trace_objective
+
+        def overshooting_dual(problem):
+            obj, x, rel_gap, d_obj, ok = real(problem)
+            return obj, x, rel_gap, obj + 1.0, ok
+
+        monkeypatch.setattr(sdp, "_solve_trace_objective", overshooting_dual)
+        prob = SdpProblem(
+            dimension=1,
+            objective=np.array([[3.0]], dtype=complex),
+            constraints=((np.array([[2.0]], dtype=complex), 5.0),),
+        )
+        with pytest.raises(SolverError):
+            solve_min_trace(prob)
