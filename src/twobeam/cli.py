@@ -60,6 +60,7 @@ from .region import (
     closed_hull,
     convex_hull,
     default_grid,
+    draw_channels,
     points_expansion,
     region_contains,
     region_csv_text,
@@ -340,15 +341,6 @@ def _spawned_rng(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(label + 1)[label])
 
 
-def _draw_channels(rng: np.random.Generator, k: int, reciprocal: bool) -> ChannelSet:
-    def vec():
-        return (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-
-    if reciprocal:
-        return ChannelSet.from_reciprocal(vec(), vec())
-    return ChannelSet(h1=vec(), h2=vec(), h1r=vec(), h2r=vec())
-
-
 def _unit_params(k: int) -> SystemParams:
     return SystemParams(
         p_s1=1.0, p_s2=1.0, sigma_relay=np.ones(k), sigma_s1_sq=1.0, sigma_s2_sq=1.0
@@ -372,7 +364,7 @@ def _check_recip_grid_optimality(seed: int) -> dict:
     worst = -np.inf
     counterexample = None
     for trial in range(3):
-        ch = _draw_channels(rng, 2, True)
+        ch = draw_channels(rng, 2, True)
         sp = _unit_params(2)
         mu = float(rng.uniform(0.1, 0.9))
         sol = wsismin_sum_power(ch, sp, 10.0, mu)
@@ -393,7 +385,7 @@ def _check_recip_hull_containment(seed: int) -> dict:
     from .oracle import random_beamformer_cloud
 
     rng = _spawned_rng(seed, 1)
-    ch = _draw_channels(rng, 3, True)
+    ch = draw_channels(rng, 3, True)
     sp = _unit_params(3)
     hull = _sum_power_sweep_hull(ch, sp)
     cloud = random_beamformer_cloud(ch, sp, SumPower(10.0), 2000, seed=seed, matched_phases=True)
@@ -411,7 +403,7 @@ def _check_recip_local_reassembly(seed: int) -> dict:
     worst = 0.0
     for _ in range(20):
         k = int(rng.integers(1, 6))
-        ch = _draw_channels(rng, k, True)
+        ch = draw_channels(rng, k, True)
         sp = _unit_params(k)
         mu = float(rng.uniform(0.0, 1.0))
         sol = wsismin_sum_power(ch, sp, 10.0, mu)
@@ -447,7 +439,7 @@ def _check_nonrecip_sdr_exactness(seed: int) -> dict:
     worst = -np.inf
     counterexample = None
     for trial in range(3):
-        ch = _draw_channels(rng, 3, False)
+        ch = draw_channels(rng, 3, False)
         sp = _unit_params(3)
         kappa = float(rng.choice([0.25, 0.5, 0.75]))
         r_sum, x_best = algorithm1_sum_power(ch, sp, 10.0, kappa)
@@ -466,7 +458,7 @@ def _check_nonrecip_sdr_exactness(seed: int) -> dict:
 
 def _check_nonrecip_budget_ordering(seed: int) -> dict:
     rng = _spawned_rng(seed, 4)
-    ch = _draw_channels(rng, 3, False)
+    ch = draw_channels(rng, 3, False)
     sp = _unit_params(3)
     caps = np.array([4.0, 2.0, 4.0])
     r_ind, _ = algorithm2_individual(ch, sp, caps, 0.5)
@@ -480,7 +472,7 @@ def _check_nonrecip_budget_ordering(seed: int) -> dict:
 
 def _check_nonrecip_endpoint_consistency(seed: int) -> dict:
     rng = _spawned_rng(seed, 5)
-    ch = _draw_channels(rng, 3, True)
+    ch = draw_channels(rng, 3, True)
     sp = _unit_params(3)
     sol = wsismin_sum_power(ch, sp, 10.0, 1.0)
     r_closed = rate_pair(ch, sp, sum_power_beamformer(ch, sol)).r1
@@ -606,7 +598,7 @@ def _check_region_build_reproducible(seed: int) -> dict:
 
 def _check_region_heuristics_inside(seed: int) -> dict:
     rng = _spawned_rng(seed, 9)
-    ch = _draw_channels(rng, 3, True)
+    ch = draw_channels(rng, 3, True)
     sp = _unit_params(3)
     hull = _sum_power_sweep_hull(ch, sp)
     r = rate_pair(ch, sp, greedy_phase_bf(ch, sp, SumPower(10.0)))

@@ -23,25 +23,24 @@ from .model import (
 from .recip import matched_phases
 
 
-def _budget_magnitudes(ch: ChannelSet, sp: SystemParams, budget: PowerBudget) -> np.ndarray:
+def _budget_magnitudes(d: np.ndarray, budget: PowerBudget) -> np.ndarray:
     # Equal split of a sum budget, full caps for individual budgets.
-    nm = noise_matrices(ch, sp)
     if isinstance(budget, SumPower):
-        return np.sqrt(budget.p_r / (ch.k * nm.d))
-    if budget.k != ch.k:
+        return np.sqrt(budget.p_r / (d.size * d))
+    if budget.k != d.size:
         raise DimensionMismatchError("per-relay caps must have one entry per relay")
-    return np.sqrt(budget.p / nm.d)
+    return np.sqrt(budget.p / d)
 
 
 def equal_power_bf(ch: ChannelSet, sp: SystemParams, p_r: float) -> Beamformer:
     """Every relay spends P_R / K; phases matched to the reciprocal channel."""
-    mags = _budget_magnitudes(ch, sp, SumPower(p_r))
+    mags = _budget_magnitudes(noise_matrices(ch, sp).d, SumPower(p_r))
     return Beamformer(mags * np.exp(1j * matched_phases(ch)))
 
 
 def max_power_bf(ch: ChannelSet, sp: SystemParams, p: np.ndarray) -> Beamformer:
     """Every relay spends its full cap; phases matched to the reciprocal channel."""
-    mags = _budget_magnitudes(ch, sp, IndividualPower(p))
+    mags = _budget_magnitudes(noise_matrices(ch, sp).d, IndividualPower(p))
     return Beamformer(mags * np.exp(1j * matched_phases(ch)))
 
 
@@ -53,16 +52,13 @@ def greedy_phase_bf(ch: ChannelSet, sp: SystemParams, budget: PowerBudget) -> Be
     composite channel direction its own amplify-and-forward SNR contribution
     favors, ties going to direction 1.
     """
-    mags = _budget_magnitudes(ch, sp, budget)
+    nm = noise_matrices(ch, sp)
+    mags = _budget_magnitudes(nm.d, budget)
     x_sq = mags**2
     # Solo SNR contribution of relay i toward each receiver, with only its own
     # amplified noise in the denominator.
-    q1 = x_sq * sp.p_s2 * np.abs(ch.f2) ** 2 / (
-        sp.sigma_s1_sq + x_sq * np.abs(ch.h1r) ** 2 * sp.sigma_relay
-    )
-    q2 = x_sq * sp.p_s1 * np.abs(ch.f1) ** 2 / (
-        sp.sigma_s2_sq + x_sq * np.abs(ch.h2r) ** 2 * sp.sigma_relay
-    )
+    q1 = x_sq * sp.p_s2 * np.abs(ch.f2) ** 2 / (sp.sigma_s1_sq + x_sq * nm.a1)
+    q2 = x_sq * sp.p_s1 * np.abs(ch.f1) ** 2 / (sp.sigma_s2_sq + x_sq * nm.a2)
     toward_1 = -(np.angle(ch.h2) + np.angle(ch.h1r))
     toward_2 = -(np.angle(ch.h1) + np.angle(ch.h2r))
     phases = np.where(q1 >= q2, toward_1, toward_2)

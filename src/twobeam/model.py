@@ -238,13 +238,17 @@ def _check_dims(ch: ChannelSet, sp: SystemParams, w: Beamformer | None = None) -
         raise DimensionMismatchError(f"beamformer has length {w.k} but channels have K={ch.k}")
 
 
+def _power_diag(ch: ChannelSet, sp: SystemParams) -> np.ndarray:
+    # The diagonal of D alone, for the closed forms, which need no A1 or A2.
+    return np.abs(ch.h1) ** 2 * sp.p_s1 + np.abs(ch.h2) ** 2 * sp.p_s2 + sp.sigma_relay
+
+
 def noise_matrices(ch: ChannelSet, sp: SystemParams) -> NoiseMatrices:
     """Compute the diagonal matrices A1, A2 and D for a channel realization."""
     _check_dims(ch, sp)
     a1 = np.abs(ch.h1r) ** 2 * sp.sigma_relay
     a2 = np.abs(ch.h2r) ** 2 * sp.sigma_relay
-    d = np.abs(ch.h1) ** 2 * sp.p_s1 + np.abs(ch.h2) ** 2 * sp.p_s2 + sp.sigma_relay
-    return NoiseMatrices(a1=a1, a2=a2, d=d)
+    return NoiseMatrices(a1=a1, a2=a2, d=_power_diag(ch, sp))
 
 
 def snr_pair(ch: ChannelSet, sp: SystemParams, w: Beamformer) -> SnrPair:

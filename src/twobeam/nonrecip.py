@@ -4,8 +4,10 @@ The boundary of the rate region is traced one rate profile at a time: fix the
 split ``(kappa, 1 - kappa)`` of the sum rate, then bisect on the sum rate. Each
 bisection step asks one max-slack feasibility SDP whether the implied SNR
 pair is supportable, with a sum budget as one more trace row and per-relay
-caps as diagonal bounds. Sum-power solutions admit an exact rank-one
-reduction; individual-power solutions use randomized rank-one extraction.
+caps as diagonal bounds; a step the solver leaves undecided (``MAX_ITER``)
+raises ``SolverError`` instead of counting as infeasible. Sum-power
+solutions admit an exact rank-one reduction; individual-power solutions use
+randomized rank-one extraction.
 ``min_power_sdp`` keeps the minimum-power relaxation as a tested reference.
 """
 
@@ -224,7 +226,11 @@ def _bisect_profile(
     caps: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Bisect the sum rate on max-slack feasibility of the SNR targets plus
-    the relay budget, given as extra trace rows or as diagonal caps."""
+    the relay budget, given as extra trace rows or as diagonal caps.
+
+    Raises SolverError when a step ends ``MAX_ITER``: that verdict certifies
+    neither side of the bracket.
+    """
     r_up = cfg.r_max if cfg.r_max is not None else r_max_bound(ch, sp, budget)
     r_low = 0.0
     x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
@@ -243,6 +249,8 @@ def _bisect_profile(
             caps=caps,
         )
         sol = solve_feasibility(problem)
+        if sol.status is SdpStatus.MAX_ITER:
+            raise SolverError(f"feasibility at sum rate {r!r} ended without a verdict")
         if sol.status is SdpStatus.OPTIMAL:
             r_low = r
             x_best = sol.x
@@ -302,47 +310,26 @@ def algorithm2_individual(
     return _bisect_profile(ch, sp, kappa, cfg, caps_budget, caps=caps)
 
 
-def _hermitian_basis(r: int) -> list[np.ndarray]:
-    """Orthonormal real basis of r-by-r Hermitian matrices (r^2 elements)."""
-    basis = []
-    for i in range(r):
-        e = np.zeros((r, r), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((r, r), dtype=np.complex128)
-            e[i, j] = -1j * inv_sqrt2
-            e[j, i] = 1j * inv_sqrt2
-            basis.append(e)
-    return basis
+def _trace_preserving_direction(mats: np.ndarray) -> np.ndarray:
+    """Nonzero Hermitian direction with tr(M Delta) = 0 for each stacked
+    Hermitian M of ``mats`` (three r-by-r matrices, r >= 2).
 
-
-def _trace_preserving_direction(mats: list[np.ndarray]) -> np.ndarray | None:
-    """Nonzero Hermitian direction with zero trace inner product against each
-    of ``mats``, or None when only the zero matrix qualifies."""
-    r = mats[0].shape[0]
-    basis = _hermitian_basis(r)
-    rows = np.array(
-        [[float(np.real(np.sum(m.conj() * h))) for h in basis] for m in mats]
-    )
-    _, svals, vt = np.linalg.svd(rows)
-    # Null-space vectors correspond to singular values that vanish relative to
-    # the largest; with r >= 2 there are r^2 >= 4 unknowns and 3 rows, so a
-    # genuine null direction always exists.
-    tol = max(rows.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    null_mask = np.zeros(len(basis), dtype=bool)
-    null_mask[len(svals) :] = True
-    null_mask[: len(svals)] = svals <= tol
-    if not null_mask.any():
-        return None
-    coeffs = vt[np.argmax(null_mask)]
-    delta = sum(cb * hb for cb, hb in zip(coeffs, basis))
-    return 0.5 * (delta + delta.conj().T)
+    Delta is parameterized by its real diagonal and the real and imaginary
+    parts of its strict upper triangle, in which tr(M Delta) = diag(M) .
+    Delta_ii + 2 Re M_ij Re Delta_ij + 2 Im M_ij Im Delta_ij. Three rows
+    against r^2 >= 4 unknowns leave the last right singular vector in the
+    null space.
+    """
+    r = mats.shape[-1]
+    iu, ju = np.triu_indices(r, 1)
+    upper = mats[:, iu, ju]
+    diag = np.diagonal(mats, axis1=1, axis2=2).real
+    rows = np.hstack([diag, 2.0 * upper.real, 2.0 * upper.imag])
+    coeffs = np.linalg.svd(rows)[2][-1]
+    delta = np.diag(coeffs[:r]).astype(np.complex128)
+    delta[iu, ju] = coeffs[r : r + iu.size] + 1j * coeffs[r + iu.size :]
+    delta[ju, iu] = delta[iu, ju].conj()
+    return delta
 
 
 def rank_one_reduce(
@@ -367,7 +354,7 @@ def rank_one_reduce(
     if x.shape != (k, k):
         raise DomainError("x_opt must be K-by-K for the channel's K")
     (b1, _), (b2, _) = snr_constraint_rows(ch, sp, gamma1, gamma2)
-    d_mat = np.diag(noise_matrices(ch, sp).d).astype(np.complex128)
+    mats = np.array([b1, b2, np.diag(noise_matrices(ch, sp).d)])
 
     vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
     floor = 1e-9 * max(float(vals.max(initial=0.0)), 0.0)
@@ -380,11 +367,7 @@ def rank_one_reduce(
 
     fallback = False
     while v.shape[1] > 1:
-        compressed = [v.conj().T @ m @ v for m in (b1, b2, d_mat)]
-        delta = _trace_preserving_direction(compressed)
-        if delta is None:
-            fallback = True
-            break
+        delta = _trace_preserving_direction(v.conj().T @ mats @ v)
         dvals, dvecs = np.linalg.eigh(delta)
         if abs(dvals[0]) > dvals[-1]:
             # Either sign of the null direction works; take the one whose top

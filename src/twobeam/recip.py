@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ReciprocityError
-from .model import Beamformer, ChannelSet, SystemParams
+from .model import Beamformer, ChannelSet, SystemParams, _power_diag
 
 __all__ = [
     "SumPowerSolution",
@@ -142,7 +142,7 @@ def wsismin_sum_power(
     abs1_sq = np.abs(ch.h1) ** 2
     abs2_sq = np.abs(ch.h2) ** 2
     nu = _nu(sp, mu)
-    beta = abs1_sq * sp.p_s1 + abs2_sq * sp.p_s2 + sp.sigma_relay
+    beta = _power_diag(ch, sp)
     eta = sp.sigma_relay * (mu * abs1_sq / sp.p_s2 + mu_bar * abs2_sq / sp.p_s1)
     gamma = nu * beta / p_r + eta
     fhat = ch.fhat
@@ -192,13 +192,13 @@ def local_weight_sum(
 
 def _individual_figures(
     ch: ChannelSet, sp: SystemParams, p: np.ndarray, mu: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-relay (g_tilde, psi_sq, phi, d) for the per-relay-budget problem."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-relay (g_tilde, psi_sq, phi) for the per-relay-budget problem."""
     mu_bar = 1.0 - mu
     abs1_sq = np.abs(ch.h1) ** 2
     abs2_sq = np.abs(ch.h2) ** 2
     nu = _nu(sp, mu)
-    d = abs1_sq * sp.p_s1 + abs2_sq * sp.p_s2 + sp.sigma_relay
+    d = _power_diag(ch, sp)
     g = np.sqrt(p) * ch.fhat / np.sqrt(d)
     psi_sq = sp.sigma_relay * p * (mu * abs1_sq / sp.p_s2 + mu_bar * abs2_sq / sp.p_s1) / (d * nu)
     g_tilde = g / np.sqrt(nu)
@@ -206,7 +206,7 @@ def _individual_figures(
         phi = g_tilde / psi_sq
     # Noiseless-amplification relays cost nothing: rank them first, full power.
     phi[psi_sq == 0.0] = np.inf
-    return g_tilde, psi_sq, phi, d
+    return g_tilde, psi_sq, phi
 
 
 def wsismin_individual(
@@ -226,7 +226,7 @@ def wsismin_individual(
     if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
         raise DomainError("per-relay budgets must be positive and finite")
 
-    g_tilde, psi_sq, phi, _ = _individual_figures(ch, sp, p, mu)
+    g_tilde, psi_sq, phi = _individual_figures(ch, sp, p, mu)
     k = ch.k
     tau = np.argsort(-phi, kind="stable")
     sums_psi = np.cumsum(psi_sq[tau])
@@ -315,7 +315,5 @@ def individual_power_beamformer(
 ) -> Beamformer:
     """Materialize the complex beamformer from a per-relay-budget solution."""
     p = np.asarray(p, dtype=np.float64)
-    abs1_sq = np.abs(ch.h1) ** 2
-    abs2_sq = np.abs(ch.h2) ** 2
-    d = abs1_sq * sp.p_s1 + abs2_sq * sp.p_s2 + sp.sigma_relay
+    d = _power_diag(ch, sp)
     return Beamformer(sol.alpha * np.sqrt(p / d) * np.exp(1j * matched_phases(ch)))

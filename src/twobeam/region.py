@@ -23,6 +23,7 @@ from .model import (
     PowerBudget,
     SumPower,
     SystemParams,
+    _require_positive_scalar,
     rate_pair,
 )
 from .nonrecip import (
@@ -44,6 +45,7 @@ __all__ = [
     "RegionResult",
     "ContainmentReport",
     "default_grid",
+    "draw_channels",
     "sample_channels",
     "build_region",
     "convex_hull",
@@ -56,19 +58,12 @@ __all__ = [
 ]
 
 
-def _require_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and strictly positive")
-    return value
-
-
 def default_grid(step: float = 0.05) -> np.ndarray:
     """Evenly spaced sweep values over [0, 1], endpoints included.
 
     ``step`` must divide 1 so the grid closes exactly at both endpoints.
     """
-    step = _require_positive(step, "step")
+    step = _require_positive_scalar(step, "step")
     n = int(round(1.0 / step))
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise DomainError("step must divide 1")
@@ -127,11 +122,10 @@ class Scenario:
         if seed < 0:
             raise DomainError("seed must be nonnegative")
         object.__setattr__(self, "seed", seed)
+        variance = _require_positive_scalar(self.channel_variance, "channel_variance")
+        object.__setattr__(self, "channel_variance", variance)
         object.__setattr__(
-            self, "channel_variance", _require_positive(self.channel_variance, "channel_variance")
-        )
-        object.__setattr__(
-            self, "epsilon_bits", _require_positive(self.epsilon_bits, "epsilon_bits")
+            self, "epsilon_bits", _require_positive_scalar(self.epsilon_bits, "epsilon_bits")
         )
         rand_candidates = int(self.rand_candidates)
         if rand_candidates < 1:
@@ -211,24 +205,34 @@ class ContainmentReport:
     max_violation: float
 
 
-def sample_channels(sc: Scenario, seed) -> ChannelSet:
-    """Draws one channel realization with iid CN(0, variance) entries.
+def draw_channels(
+    rng: np.random.Generator, k: int, reciprocal: bool, variance: float = 1.0
+) -> ChannelSet:
+    """Draws K relays' channels from ``rng`` with iid CN(0, variance) entries.
 
-    ``seed`` may be anything numpy's default_rng accepts, a SeedSequence
-    child included; identical seeds reproduce identical draws. Reciprocal
-    scenarios consume only the forward draws and mirror them backward.
+    Reciprocal draws consume only the forward channels and mirror them
+    backward; non-reciprocal draws take h1, h2, h1r, h2r in that order.
     """
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(sc.channel_variance / 2.0)
+    scale = math.sqrt(variance / 2.0)
 
     def draw() -> np.ndarray:
-        return scale * (rng.standard_normal(sc.k) + 1j * rng.standard_normal(sc.k))
+        return scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
     h1 = draw()
     h2 = draw()
-    if sc.reciprocal:
+    if reciprocal:
         return ChannelSet.from_reciprocal(h1, h2)
     return ChannelSet(h1=h1, h2=h2, h1r=draw(), h2r=draw())
+
+
+def sample_channels(sc: Scenario, seed) -> ChannelSet:
+    """Draws one channel realization of the scenario.
+
+    ``seed`` may be anything numpy's default_rng accepts, a SeedSequence
+    child included; identical seeds reproduce identical draws.
+    """
+    rng = np.random.default_rng(seed)
+    return draw_channels(rng, sc.k, sc.reciprocal, sc.channel_variance)
 
 
 def _boundary_point(

@@ -175,6 +175,13 @@ def _max_step_lin(u: np.ndarray, du: np.ndarray) -> float:
     return float(np.min(u[neg] / (-du[neg])))
 
 
+def _row_values(mats: np.ndarray, cap_coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's value 2 Re tr(A X): the stacked general rows, then the caps."""
+    flat = mats.reshape(mats.shape[0], x.size).conj()
+    diag = x.diagonal()[: cap_coef.size].real
+    return 2.0 * np.concatenate([(flat @ x.ravel()).real, cap_coef * diag])
+
+
 def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     jitter = 0.0
     base = float(np.trace(m)) / max(1, m.shape[0])
@@ -221,11 +228,6 @@ def _run_ipm(
     # the barrier degree 2K of its real embedding.
     degree = 2 * k + m
 
-    def rows(xm: np.ndarray) -> np.ndarray:
-        return 2.0 * np.concatenate(
-            [(mats_conj @ xm.ravel()).real, cap_coef * xm[caps, caps].real]
-        )
-
     def adjoint(yv: np.ndarray) -> np.ndarray:
         out = (yv[:q] @ mats_flat).reshape(k, k)
         out[caps, caps] += cap_coef * yv[q:]
@@ -253,7 +255,7 @@ def _run_ipm(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if not _finite(x, z, u, zl, y):
                 break
-            r_p = b - rows(x) - g_mat @ u
+            r_p = b - _row_values(mats, cap_coef, x) - g_mat @ u
             r_d_mat = c_mat - adjoint(y) - z
             r_d_lin = c_lin - g_mat.T @ y - zl
             gap = _pair(x, z) + float(u @ zl)
@@ -311,7 +313,7 @@ def _run_ipm(
                     # Jordan product with the diagonal lam divides elementwise.
                     s_mat = g @ (target_mat / jordan) @ g.conj().T
                     du_part = (target_lin - u * r_d_lin) / zl
-                    rhs = r_p - rows(s_mat - w_rd_w) - g_mat @ du_part
+                    rhs = r_p - _row_values(mats, cap_coef, s_mat - w_rd_w) - g_mat @ du_part
                     dy = _chol_solve(schur, rhs)
                     dz_mat = _herm(r_d_mat - adjoint(dy))
                     dx = _herm(s_mat - w @ dz_mat @ w)
@@ -372,17 +374,12 @@ def _normalized_rows(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _violation(problem: SdpProblem, x: np.ndarray) -> float:
-    worst = 0.0
-    for a, b in problem.constraints:
-        s = max(1.0, float(np.linalg.norm(a)), abs(b))
-        worst = max(worst, (b - float(np.real(np.sum(a.conj() * x)))) / s)
-    if problem.caps is not None:
-        over = (np.real(np.diag(x)) - problem.caps) / np.maximum(1.0, problem.caps)
-        worst = max(worst, float(np.max(over)))
+    # Each row's shortfall (b - tr(A X)) / s at its normalization scale s.
+    mats, cap_coef, bounds = _normalized_rows(problem)
+    short = 0.5 * (bounds - _row_values(mats, cap_coef, x))
     lo = float(np.linalg.eigvalsh(x)[0])
     norm = max(1.0, float(np.linalg.norm(x)))
-    worst = max(worst, -lo / norm if lo < 0.0 else 0.0)
-    return max(worst, 0.0)
+    return max(float(np.max(short, initial=0.0)), -lo / norm)
 
 
 def _reduce_zero_caps(problem: SdpProblem) -> tuple[SdpProblem | None, np.ndarray]:
@@ -403,6 +400,20 @@ def _reduce_zero_caps(problem: SdpProblem) -> tuple[SdpProblem | None, np.ndarra
         caps=problem.caps[keep],
     )
     return reduced, keep
+
+
+def _all_frozen(problem: SdpProblem, infeasible_objective: float) -> SdpSolution:
+    """The verdict when zero caps freeze every dimension: X = 0 is the only point."""
+    x = np.zeros((problem.dimension, problem.dimension), dtype=np.complex128)
+    viol = _violation(problem, x)
+    feasible = viol <= _FEAS_TOL
+    return SdpSolution(
+        x=x,
+        status=SdpStatus.OPTIMAL if feasible else SdpStatus.INFEASIBLE,
+        objective=0.0 if feasible else infeasible_objective,
+        max_violation=viol,
+        duality_gap=0.0,
+    )
 
 
 def _expand(x_small: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
@@ -426,31 +437,25 @@ def _polish_witness(
     """
     vals, vecs = np.linalg.eigh(x)
     x = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    need, head = 0.0, np.inf
-    if problem.caps is not None:
-        diag = np.real(np.diag(x))
-        live = diag > 0.0
-        if np.any(live):
-            head = float(np.min(problem.caps[live] / diag[live]))
-    for a, b in problem.constraints:
-        val = float(np.real(np.sum(a.conj() * x)))
-        if val > 0.0:
-            if b > 0.0:
-                need = max(need, b / val)
-        elif b > 0.0:
-            return None
-        elif val < 0.0:
-            head = min(head, b / val)
+    # Row scaling leaves every ratio b / <A, X> as it is; cap rows read
+    # -X_ii >= -u_i, so they limit gamma from above like negative bounds.
+    mats, cap_coef, bounds = _normalized_rows(problem)
+    val = _row_values(mats, cap_coef, x)
+    lifting = bounds > 0.0
+    if np.any(val[lifting] <= 0.0):
+        return None
+    need = float(np.max(bounds[lifting] / val[lifting], initial=0.0))
+    falling = val < 0.0
+    head = float(np.min(bounds[falling] / val[falling], initial=np.inf))
     if need > head:
         return None
     x = min(max(1.0, need), head) * x
     if _violation(problem, x) > _FEAS_TOL:
         return None
-    margin = 1.0
-    for a, b in problem.constraints:
-        if b != 0.0:
-            val = float(np.real(np.sum(a.conj() * x)))
-            margin = min(margin, (val - b) / abs(b))
+    q = mats.shape[0]
+    val, b = _row_values(mats, cap_coef, x)[:q], bounds[:q]
+    fixed = b != 0.0
+    margin = float(np.min((val[fixed] - b[fixed]) / np.abs(b[fixed]), initial=1.0))
     return x, margin
 
 
@@ -511,16 +516,7 @@ def solve_min_trace(problem: SdpProblem) -> SdpSolution:
         raise DomainError("problem has no objective; use solve_feasibility")
     reduced, keep = _reduce_zero_caps(problem)
     if reduced is None:
-        x = np.zeros((problem.dimension, problem.dimension), dtype=np.complex128)
-        viol = _violation(problem, x)
-        feasible = viol <= _FEAS_TOL
-        return SdpSolution(
-            x=x,
-            status=SdpStatus.OPTIMAL if feasible else SdpStatus.INFEASIBLE,
-            objective=0.0 if feasible else np.inf,
-            max_violation=viol,
-            duality_gap=0.0,
-        )
+        return _all_frozen(problem, np.inf)
 
     t_star, x_slack, _, ok_slack = _solve_max_slack(reduced)
     if ok_slack and t_star < -_FEAS_TOL:
@@ -568,16 +564,7 @@ def solve_feasibility(problem: SdpProblem) -> SdpSolution:
     """
     reduced, keep = _reduce_zero_caps(problem)
     if reduced is None:
-        x = np.zeros((problem.dimension, problem.dimension), dtype=np.complex128)
-        viol = _violation(problem, x)
-        feasible = viol <= _FEAS_TOL
-        return SdpSolution(
-            x=x,
-            status=SdpStatus.OPTIMAL if feasible else SdpStatus.INFEASIBLE,
-            objective=0.0 if feasible else -np.inf,
-            max_violation=viol,
-            duality_gap=0.0,
-        )
+        return _all_frozen(problem, -np.inf)
     t_star, x_small, rel_gap, ok = _solve_max_slack(reduced)
     x_full = _expand(x_small, keep, problem.dimension)
     if not ok:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
+from twobeam import nonrecip
 from twobeam.cli import load_scenario, main
 from twobeam.errors import DomainError, SolverError
 from twobeam.model import (
@@ -36,7 +37,7 @@ from twobeam.nonrecip import (
 )
 from twobeam.recip import sum_power_beamformer, wsismin_sum_power
 from twobeam.region import sample_channels
-from twobeam.sdp import SdpStatus
+from twobeam.sdp import SdpSolution, SdpStatus
 
 from helpers import draw_nonreciprocal, draw_reciprocal, unit_params
 
@@ -258,6 +259,30 @@ class TestAlgorithm1:
         with pytest.raises(SolverError):
             algorithm1_sum_power(ch, unit_params(2), 10.0, 0.5, cfg)
 
+    @pytest.mark.parametrize("budget", ["pooled", "caps"])
+    def test_unresolved_verdict_raises(self, monkeypatch, budget):
+        # MAX_ITER certifies neither side of the bracket, so the driver must
+        # fail the sample rather than read it as infeasible.
+        def stalled(problem):
+            k = problem.dimension
+            return SdpSolution(
+                x=np.zeros((k, k), dtype=complex),
+                status=SdpStatus.MAX_ITER,
+                objective=0.0,
+                max_violation=0.0,
+                duality_gap=1.0,
+            )
+
+        monkeypatch.setattr("twobeam.nonrecip.solve_feasibility", stalled)
+        rng = np.random.default_rng(36)
+        ch = draw_nonreciprocal(rng, 3)
+        sp = unit_params(3)
+        with pytest.raises(SolverError):
+            if budget == "pooled":
+                algorithm1_sum_power(ch, sp, 10.0, 0.5)
+            else:
+                algorithm2_individual(ch, sp, np.full(3, 2.0), 0.5)
+
     def test_reciprocal_symmetric_point(self):
         # On a reciprocal channel the kappa = 1/2 profile pins r1 = r2; the
         # closed-form sweep must find the same balanced point.
@@ -315,6 +340,30 @@ class TestRankOneReduce:
             before = float(np.real(np.sum(mat.conj() * x)))
             after = float(np.real(w.conj() @ mat @ w))
             assert after == pytest.approx(before, abs=1e-8 * max(1.0, abs(before)))
+
+    @pytest.mark.parametrize("k", [4, 20])
+    def test_full_rank_input_preserves_traces(self, monkeypatch, k):
+        rng = np.random.default_rng(45)
+        ch = draw_nonreciprocal(rng, k)
+        sp = unit_params(k)
+        factor = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        x = factor @ factor.conj().T
+        passes = []
+        step = nonrecip._trace_preserving_direction
+        monkeypatch.setattr(
+            nonrecip, "_trace_preserving_direction", lambda m: passes.append(m) or step(m)
+        )
+        gamma1, gamma2 = 0.8, 1.3
+        res = rank_one_reduce(x, ch, sp, gamma1, gamma2)
+        assert not res.source.fallback
+        assert len(passes) == k - 1
+        mats = [mat for mat, _ in snr_constraint_rows(ch, sp, gamma1, gamma2)]
+        mats.append(np.diag(noise_matrices(ch, sp).d))
+        w = res.w.w
+        for mat in mats:
+            before = float(np.real(np.sum(mat.conj() * x)))
+            after = float(np.real(w.conj() @ mat @ w))
+            assert after == pytest.approx(before, rel=1e-8)
 
     def test_solved_instances_meet_profile_targets(self):
         rng = np.random.default_rng(44)

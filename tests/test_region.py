@@ -1,15 +1,18 @@
 """Region pipeline: sampling, hulls, Monte Carlo builds, containment."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from twobeam.cli import load_scenario
 from twobeam.errors import DimensionMismatchError, DomainError, SolverError
-from twobeam.model import IndividualPower, SumPower, SystemParams, rate_pair
-from twobeam.nonrecip import algorithm1_sum_power
+from twobeam.model import IndividualPower, RatePair, SumPower, SystemParams, rate_pair
+from twobeam.nonrecip import algorithm1_sum_power, profile_rate
 from twobeam.oracle import hull_bruteforce
 from twobeam.recip import (
     individual_power_beamformer,
@@ -32,6 +35,8 @@ from twobeam.region import (
 )
 
 from helpers import unit_params
+
+SHIPPED_CAPS = Path(__file__).resolve().parents[1] / "scenarios" / "nonreciprocal-individual.json"
 
 
 def unit_scenario(k, budget, *, reciprocal=True, grid=None, realizations=1, seed=0, **kw):
@@ -345,6 +350,25 @@ class TestBuildRegionNonReciprocal:
         again = build_region(sc)
         np.testing.assert_array_equal(res.means, again.means)
         np.testing.assert_array_equal(res.randomized.means, again.randomized.means)
+
+    def test_shipped_randomized_samples_stay_below_relaxed_rate(self):
+        # The documented guarantee is per sample and per profile, not that
+        # the randomized hull nests inside the relaxed one.
+        sc = replace(load_scenario(str(SHIPPED_CAPS)), realizations=2, keep_samples=True)
+        res = build_region(sc)
+        relaxed = res.samples.sum(axis=2)
+        achieved = res.randomized.samples
+        checked = 0
+        for i in range(sc.realizations):
+            for j, kappa in enumerate(res.grid):
+                if not np.isfinite(relaxed[i, j]):
+                    continue
+                r1, r2 = achieved[i, j]
+                assert profile_rate(RatePair(r1, r2), float(kappa)) <= (
+                    relaxed[i, j] + sc.epsilon_bits
+                )
+                checked += 1
+        assert checked > 0
 
 
 class TestRegionContains:
