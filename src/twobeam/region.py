@@ -39,6 +39,7 @@ from .recip import (
     wsismin_individual,
     wsismin_sum_power,
 )
+from .sdp import MAX_DIMENSION
 
 __all__ = [
     "Scenario",
@@ -107,6 +108,8 @@ class Scenario:
                 f"budget caps {self.budget.k} relays, scenario says {k}"
             )
         object.__setattr__(self, "reciprocal", bool(self.reciprocal))
+        if not self.reciprocal and k > MAX_DIMENSION:
+            raise DomainError(f"k must be at most {MAX_DIMENSION} for non-reciprocal channels")
         grid = np.asarray(self.grid, dtype=np.float64).copy()
         if grid.ndim != 1 or grid.size == 0:
             raise DimensionMismatchError("grid must be a non-empty 1-D vector")

@@ -22,12 +22,16 @@ Feasibility questions are answered by maximizing how far all relaxable
 constraints can be pushed past their bounds simultaneously, which is a
 bounded problem with a strictly interior starting point; the sign of that
 optimum is the verdict.
+
+Every verdict leaves through one certification step that measures the
+returned X against the full problem. A stalled solve never reads as
+infeasible: it returns a polished feasible witness or MAX_ITER.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,6 +152,10 @@ def _finite(*arrays: np.ndarray) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
 
+def _rel_gap(p_obj: float, d_obj: float) -> float:
+    return abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+
+
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A factor F with A = F F^H, and its inverse.
 
@@ -262,7 +270,7 @@ def _run_ipm(
             mu = gap / degree
             p_obj = _pair(c_mat, x) + float(c_lin @ u)
             d_obj = float(b @ y)
-            rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+            rel_gap = _rel_gap(p_obj, d_obj)
             p_res = float(np.max(np.abs(r_p))) / b_scale if p else 0.0
             d_res = max(
                 _norm(r_d_mat) / c_scale,
@@ -402,18 +410,20 @@ def _reduce_zero_caps(problem: SdpProblem) -> tuple[SdpProblem | None, np.ndarra
     return reduced, keep
 
 
+def _solution(
+    problem: SdpProblem, x: np.ndarray, status: SdpStatus, objective: float, gap: float
+) -> SdpSolution:
+    """The one way out of every solve: a verdict and X's violation of the full problem."""
+    return SdpSolution(x, status, objective, _violation(problem, x), gap)
+
+
 def _all_frozen(problem: SdpProblem, infeasible_objective: float) -> SdpSolution:
     """The verdict when zero caps freeze every dimension: X = 0 is the only point."""
     x = np.zeros((problem.dimension, problem.dimension), dtype=np.complex128)
-    viol = _violation(problem, x)
-    feasible = viol <= _FEAS_TOL
-    return SdpSolution(
-        x=x,
-        status=SdpStatus.OPTIMAL if feasible else SdpStatus.INFEASIBLE,
-        objective=0.0 if feasible else infeasible_objective,
-        max_violation=viol,
-        duality_gap=0.0,
-    )
+    sol = _solution(problem, x, SdpStatus.OPTIMAL, 0.0, 0.0)
+    if sol.max_violation > _FEAS_TOL:
+        return replace(sol, status=SdpStatus.INFEASIBLE, objective=infeasible_objective)
+    return sol
 
 
 def _expand(x_small: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
@@ -487,8 +497,7 @@ def _solve_max_slack(problem: SdpProblem) -> tuple[float, np.ndarray, float, boo
     t_star = 1.0 - float(u[n_rows])
     p_obj = -t_star
     d_obj = float(b_vec @ y) - 1.0
-    rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
-    return t_star, x, rel_gap, ok
+    return t_star, x, _rel_gap(p_obj, d_obj), ok
 
 
 def _solve_trace_objective(problem: SdpProblem) -> tuple[float, np.ndarray, float, float, bool]:
@@ -502,8 +511,7 @@ def _solve_trace_objective(problem: SdpProblem) -> tuple[float, np.ndarray, floa
     # The pairing doubles every trace; halve to report tr(C X).
     p_obj = 0.5 * _pair(c_mat, x)
     d_obj = 0.5 * float(bounds @ y)
-    rel_gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
-    return p_obj, x, rel_gap, d_obj, ok
+    return p_obj, x, _rel_gap(p_obj, d_obj), d_obj, ok
 
 
 def solve_min_trace(problem: SdpProblem) -> SdpSolution:
@@ -520,38 +528,19 @@ def solve_min_trace(problem: SdpProblem) -> SdpSolution:
 
     t_star, x_slack, _, ok_slack = _solve_max_slack(reduced)
     if ok_slack and t_star < -_FEAS_TOL:
-        x_full = _expand(x_slack, keep, problem.dimension)
-        return SdpSolution(
-            x=x_full,
-            status=SdpStatus.INFEASIBLE,
-            objective=np.inf,
-            max_violation=_violation(problem, x_full),
-            duality_gap=np.inf,
-        )
+        x_slack = _expand(x_slack, keep, problem.dimension)
+        return _solution(problem, x_slack, SdpStatus.INFEASIBLE, np.inf, np.inf)
 
     obj, x, rel_gap, d_obj, ok = _solve_trace_objective(reduced)
-    x_full = _expand(x, keep, problem.dimension)
-    viol = _violation(problem, x_full)
+    sol = _solution(problem, _expand(x, keep, problem.dimension), SdpStatus.OPTIMAL, obj, rel_gap)
     # Optimal status certifies the reported metrics, so downgrade whenever
     # either one misses its guarantee even though the solver felt converged.
-    if not ok or viol > _FEAS_TOL or rel_gap > 1e-7:
-        return SdpSolution(
-            x=x_full,
-            status=SdpStatus.MAX_ITER,
-            objective=obj,
-            max_violation=viol,
-            duality_gap=rel_gap,
-        )
+    if not ok or sol.max_violation > _FEAS_TOL or rel_gap > 1e-7:
+        return replace(sol, status=SdpStatus.MAX_ITER)
     # Weak duality: a minimum below its own dual bound certifies nothing.
     if obj < d_obj - 1e-6 * (1.0 + abs(obj) + abs(d_obj)):
         raise SolverError(f"minimum {obj!r} undercuts its dual bound {d_obj!r}")
-    return SdpSolution(
-        x=x_full,
-        status=SdpStatus.OPTIMAL,
-        objective=obj,
-        max_violation=viol,
-        duality_gap=rel_gap,
-    )
+    return sol
 
 
 def solve_feasibility(problem: SdpProblem) -> SdpSolution:
@@ -566,35 +555,16 @@ def solve_feasibility(problem: SdpProblem) -> SdpSolution:
     if reduced is None:
         return _all_frozen(problem, -np.inf)
     t_star, x_small, rel_gap, ok = _solve_max_slack(reduced)
-    x_full = _expand(x_small, keep, problem.dimension)
-    if not ok:
-        # A stalled solve still certifies feasibility when its iterate
-        # polishes into a point satisfying every constraint: the verdict
-        # needs a witness, not the maximal margin. Infeasibility has no
-        # such shortcut; it rests on the converged dual bound, so keep
-        # MAX_ITER in that direction.
-        polished = _polish_witness(problem, x_full)
-        if polished is not None:
-            x_fixed, margin = polished
-            return SdpSolution(
-                x=x_fixed,
-                status=SdpStatus.OPTIMAL,
-                objective=margin,
-                max_violation=_violation(problem, x_fixed),
-                duality_gap=rel_gap,
-            )
-        return SdpSolution(
-            x=x_full,
-            status=SdpStatus.MAX_ITER,
-            objective=t_star,
-            max_violation=_violation(problem, x_full),
-            duality_gap=rel_gap,
-        )
-    status = SdpStatus.OPTIMAL if t_star >= -_FEAS_TOL else SdpStatus.INFEASIBLE
-    return SdpSolution(
-        x=x_full,
-        status=status,
-        objective=t_star,
-        max_violation=_violation(problem, x_full),
-        duality_gap=rel_gap,
-    )
+    x = _expand(x_small, keep, problem.dimension)
+    if ok:
+        status = SdpStatus.OPTIMAL if t_star >= -_FEAS_TOL else SdpStatus.INFEASIBLE
+        return _solution(problem, x, status, t_star, rel_gap)
+    # A stalled solve still certifies feasibility when its iterate polishes
+    # into a point satisfying every constraint: the verdict needs a witness,
+    # not the maximal margin. Infeasibility has no such shortcut; it rests
+    # on the converged dual bound, so keep MAX_ITER in that direction.
+    polished = _polish_witness(problem, x)
+    if polished is None:
+        return _solution(problem, x, SdpStatus.MAX_ITER, t_star, rel_gap)
+    x_fixed, margin = polished
+    return _solution(problem, x_fixed, SdpStatus.OPTIMAL, margin, rel_gap)

@@ -13,6 +13,7 @@ import twobeam
 from twobeam.cli import _apply_overrides, main, scenario_from_dict
 from twobeam.errors import ScenarioError, SolverError
 from twobeam.region import build_region, scenario_to_dict
+from twobeam.sdp import MAX_DIMENSION
 
 BASE_DOC = {
     "schema_version": 1,
@@ -159,6 +160,16 @@ class TestExitCodes:
         path = scenario_file(tmp_path)
         assert main(["solve", path, "--mu", "1.5"]) == 2
         assert "[0, 1]" in capsys.readouterr().err
+
+    def test_nonreciprocal_k_above_solver_limit_exits_two(self, tmp_path, capsys):
+        k = MAX_DIMENSION + 1
+        path = scenario_file(tmp_path, k=k, reciprocal=False)
+        assert main(["region", path, "--out", str(tmp_path)]) == 2
+        assert f"k must be at most {MAX_DIMENSION}" in capsys.readouterr().err
+        assert main(["solve", path, "--kappa", "0.5"]) == 2
+        assert f"k must be at most {MAX_DIMENSION}" in capsys.readouterr().err
+        # The reciprocal closed forms have no dimension limit.
+        assert scenario_from_dict({**BASE_DOC, "k": k}).k == k
 
     def test_failure_budget_exits_three(self, tmp_path, capsys, monkeypatch):
         from twobeam.recip import wsismin_sum_power as real_solver

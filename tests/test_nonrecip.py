@@ -1,5 +1,7 @@
 """Rate-profile pipeline: bisection drivers, rank-one recovery, SNR targets."""
 
+from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from twobeam.model import (
     ChannelSet,
     IndividualPower,
     SumPower,
+    SystemParams,
     noise_matrices,
     rate_pair,
     relay_powers,
@@ -480,3 +483,77 @@ class TestRandomizeRankOne:
             randomize_rank_one(
                 np.eye(2, dtype=complex), ch, unit_params(2), 1.0, 1.0, num_candidates=0, seed=1
             )
+
+
+EDGE_CASES = ["k1", "dead_relay", "h1_zero", "p_s_1e-6", "p_s_1e6"]
+EDGE_KAPPAS = [0.0, 0.5, 1.0]
+EDGE_EPS = BisectionConfig().epsilon
+
+
+def edge_instance(case: str) -> tuple[ChannelSet, SystemParams]:
+    """K = 1; a relay with h1 = h2r = 0; h1 = 0 everywhere; or P_S of 1e-6 or 1e6 W."""
+    k = 1 if case == "k1" else 3
+    ch = draw_nonreciprocal(np.random.default_rng(90), k)
+    sp = unit_params(k)
+    if case == "dead_relay":
+        h1, h2r = ch.h1.copy(), ch.h2r.copy()
+        h1[0] = h2r[0] = 0.0
+        ch = ChannelSet(h1=h1, h2=ch.h2, h1r=ch.h1r, h2r=h2r)
+    elif case == "h1_zero":
+        ch = ChannelSet(h1=np.zeros(k, dtype=complex), h2=ch.h2, h1r=ch.h1r, h2r=ch.h2r)
+    elif case.startswith("p_s_"):
+        p_s = float(case[4:])
+        sp = replace(sp, p_s1=p_s, p_s2=p_s)
+    return ch, sp
+
+
+# The caps witness is not scaled back into the caps the way the pooled one
+# is scaled into its budget, so a cap can be overshot within the solver's
+# 1e-8 feasibility tolerance: at P_S = 1e6 W by 5.8e-9 (kappa 0.5) and
+# 9.3e-9 (kappa 1) relative, past the 1e-9 budget check of `twobeam solve`.
+CAPS_OVERSHOOT = pytest.mark.xfail(strict=True, reason="caps witness overshoots its caps")
+
+
+@cache
+def edge_caps_run(case: str, kappa: float):
+    ch, sp = edge_instance(case)
+    p = np.full(ch.k, 2.0)
+    r, x = algorithm2_individual(ch, sp, p, kappa)
+    res = randomize_rank_one(x, ch, sp, *snr_targets(kappa, r), num_candidates=100, seed=0)
+    return ch, sp, p, r, res
+
+
+class TestEdgeInputs:
+    """Both pipelines with their extraction on edge inputs, at kappa 0, 0.5, 1."""
+
+    @pytest.mark.parametrize("kappa", EDGE_KAPPAS)
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_pooled_budget_reduces_exactly(self, case, kappa):
+        ch, sp = edge_instance(case)
+        r, x = algorithm1_sum_power(ch, sp, 10.0, kappa)
+        res = rank_one_reduce(x, ch, sp, *snr_targets(kappa, r))
+        assert r >= 0.0
+        assert float(np.sum(relay_powers(ch, sp, res.w))) <= 10.0 * (1.0 + 1e-9)
+        assert not res.source.fallback
+        assert profile_rate(res.rates, kappa) == pytest.approx(r, abs=EDGE_EPS)
+
+    @pytest.mark.parametrize("kappa", EDGE_KAPPAS)
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_caps_randomized_rate_stays_below_relaxed(self, case, kappa):
+        _, _, _, r, res = edge_caps_run(case, kappa)
+        assert r >= 0.0
+        assert profile_rate(res.rates, kappa) <= r + EDGE_EPS
+
+    @pytest.mark.parametrize(
+        "case, kappa",
+        [
+            pytest.param(case, kappa, marks=CAPS_OVERSHOOT)
+            if case == "p_s_1e6" and kappa > 0.0
+            else (case, kappa)
+            for case in EDGE_CASES
+            for kappa in EDGE_KAPPAS
+        ],
+    )
+    def test_caps_met(self, case, kappa):
+        ch, sp, p, _, res = edge_caps_run(case, kappa)
+        assert np.all(relay_powers(ch, sp, res.w) <= p * (1.0 + 1e-9))

@@ -422,3 +422,36 @@ class TestWeakDuality:
         )
         with pytest.raises(SolverError):
             solve_min_trace(prob)
+
+
+class TestStalledSolve:
+    """Verdicts of solves cut off after two interior-point iterations."""
+
+    EYE = np.eye(2, dtype=complex)
+
+    def test_feasibility_polishes_a_witness(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITERS", 2)
+        prob = SdpProblem(2, FEASIBILITY, ((self.EYE, 1.0),), caps=[5.0, 5.0])
+        sol = solve_feasibility(prob)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.objective == 1.0
+        assert sol.max_violation == 0.0
+
+    def test_feasibility_without_witness_is_undecided(self, monkeypatch):
+        # The caps make the row infeasible, but a stalled solve has no
+        # converged dual bound to certify that.
+        monkeypatch.setattr(sdp, "_MAX_ITERS", 2)
+        prob = SdpProblem(2, FEASIBILITY, ((self.EYE, 1.0),), caps=[0.1, 0.2])
+        sol = solve_feasibility(prob)
+        assert sol.status is SdpStatus.MAX_ITER
+        assert sol.max_violation == sdp._violation(prob, sol.x)
+
+    def test_min_trace_reports_where_it_stopped(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITERS", 2)
+        c = np.diag([1.0, 2.0]).astype(complex)
+        prob = SdpProblem(2, c, ((self.EYE, 1.0),), caps=[5.0, 5.0])
+        sol = solve_min_trace(prob)
+        assert sol.status is SdpStatus.MAX_ITER
+        assert sol.objective == pytest.approx(3.4125, abs=1e-4)
+        assert sol.objective == pytest.approx(float(np.real(np.vdot(c, sol.x))), rel=1e-12)
+        assert sol.max_violation == sdp._violation(prob, sol.x)
