@@ -36,7 +36,6 @@ from .model import (
     relay_powers,
 )
 from .nonrecip import (
-    BisectionConfig,
     algorithm1_sum_power,
     algorithm2_individual,
     profile_rate,
@@ -265,16 +264,15 @@ def _solve_reciprocal(sc: Scenario, ch, mu: float):
 
 
 def _solve_nonreciprocal(sc: Scenario, ch, kappa: float):
-    cfg = BisectionConfig(epsilon=sc.epsilon_bits)
     if isinstance(sc.budget, SumPower):
-        r_sum, x_best = algorithm1_sum_power(ch, sc.params, sc.budget.p_r, kappa, cfg)
+        r_sum, x_best = algorithm1_sum_power(ch, sc.params, sc.budget.p_r, kappa, sc.epsilon_bits)
         gamma1, gamma2 = snr_targets(kappa, r_sum)
         result = rank_one_reduce(x_best, ch, sc.params, gamma1, gamma2)
         how = "exact rank-one reduction"
         if result.source.fallback:
             how += " (dominant-eigenvector fallback)"
     else:
-        r_sum, x_best = algorithm2_individual(ch, sc.params, sc.budget.p, kappa, cfg)
+        r_sum, x_best = algorithm2_individual(ch, sc.params, sc.budget.p, kappa, sc.epsilon_bits)
         gamma1, gamma2 = snr_targets(kappa, r_sum)
         result = randomize_rank_one(
             x_best,

@@ -41,6 +41,10 @@ from .sdp import (
 # risk overflow, so the targets are reported as unreachable outright.
 _MAX_RATE_EXPONENT = 50.0
 
+# Safety cap on bisection steps: a tiny epsilon would otherwise loop forever
+# once the bracket stops shrinking at float resolution.
+_MAX_STEPS = 60
+
 
 @dataclass(frozen=True)
 class RateProfile:
@@ -57,23 +61,6 @@ class RateProfile:
     @property
     def kappa_bar(self) -> float:
         return 1.0 - self.kappa
-
-
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Stopping controls for the sum-rate bisection."""
-
-    epsilon: float = 1e-4
-    max_iters: int = 60
-    r_max: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise DomainError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
-        if self.r_max is not None and not self.r_max > 0.0:
-            raise DomainError("r_max override must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,22 +207,31 @@ def _bisect_profile(
     ch: ChannelSet,
     sp: SystemParams,
     kappa: float | RateProfile,
-    cfg: BisectionConfig,
     budget: PowerBudget,
-    budget_rows: tuple[tuple[np.ndarray, float], ...] = (),
-    caps: np.ndarray | None = None,
+    epsilon: float,
 ) -> tuple[float, np.ndarray]:
     """Bisect the sum rate on max-slack feasibility of the SNR targets plus
-    the relay budget, given as extra trace rows or as diagonal caps.
+    the relay budget: a pooled budget as the trace row tr(D X) <= p_r, per-relay
+    caps as diagonal bounds X_ii <= p_i/D_ii.
 
-    Raises SolverError when a step ends ``MAX_ITER``: that verdict certifies
-    neither side of the bracket.
+    Returns the located rate and a PSD witness of the last feasible step
+    (zero when no positive rate fits), scaled by the largest factor <= 1 that
+    meets the budget. Raises SolverError when a step ends ``MAX_ITER``: that
+    verdict certifies neither side of the bracket.
     """
-    r_up = cfg.r_max if cfg.r_max is not None else r_max_bound(ch, sp, budget)
-    r_low = 0.0
+    if not epsilon > 0.0:
+        raise DomainError("epsilon must be positive")
+    d = noise_matrices(ch, sp).d
+    if isinstance(budget, SumPower):
+        rows, caps = ((-np.diag(d).astype(np.complex128), -budget.p_r),), None
+    else:
+        if budget.k != ch.k:
+            raise DomainError("per-relay caps must have one entry per relay")
+        rows, caps = (), budget.p / d
+    r_low, r_up = 0.0, r_max_bound(ch, sp, budget)
     x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
-    for _ in range(cfg.max_iters):
-        if r_up - r_low < cfg.epsilon:
+    for _ in range(_MAX_STEPS):
+        if r_up - r_low < epsilon:
             break
         r = 0.5 * (r_low + r_up)
         gamma1, gamma2 = snr_targets(kappa, r)
@@ -245,7 +241,7 @@ def _bisect_profile(
         problem = SdpProblem(
             dimension=ch.k,
             objective=None,
-            constraints=snr_constraint_rows(ch, sp, gamma1, gamma2) + budget_rows,
+            constraints=snr_constraint_rows(ch, sp, gamma1, gamma2) + rows,
             caps=caps,
         )
         sol = solve_feasibility(problem)
@@ -257,10 +253,12 @@ def _bisect_profile(
         else:
             r_up = r
     else:
-        raise SolverError(
-            f"bisection did not reach epsilon={cfg.epsilon} in {cfg.max_iters} iterations"
-        )
-    return r_low, x_best
+        raise SolverError(f"bisection did not reach epsilon={epsilon} in {_MAX_STEPS} steps")
+    # The feasibility tolerance lets the witness overshoot the budget by
+    # float dust; scale it back so extracted beamformers meet it exactly.
+    diag = np.real(np.diag(x_best))
+    spend, limit = (d @ diag, budget.p_r) if isinstance(budget, SumPower) else (d * diag, budget.p)
+    return r_low, x_best * np.min(limit / np.maximum(spend, limit))
 
 
 def algorithm1_sum_power(
@@ -268,27 +266,16 @@ def algorithm1_sum_power(
     sp: SystemParams,
     p_r: float,
     kappa: float | RateProfile,
-    cfg: BisectionConfig = BisectionConfig(),
+    epsilon: float = 1e-4,
 ) -> tuple[float, np.ndarray]:
     """Largest relaxed sum rate supportable with total relay power ``p_r``.
 
     Bisects the sum rate with one feasibility SDP per step: the two SNR rows
-    plus the budget row tr(D X) <= p_r. Returns the located rate and a PSD
-    witness of the last feasible step, scaled into the budget (zero when no
-    positive rate fits). With two SNR rows and one power row any such
-    witness reduces exactly to rank one, so no minimum-power solve is needed.
+    plus the budget row tr(D X) <= p_r. With two SNR rows and one power row
+    the returned witness reduces exactly to rank one, so no minimum-power
+    solve is needed.
     """
-    if not p_r > 0.0:
-        raise DomainError("p_r must be positive")
-    d = noise_matrices(ch, sp).d
-    budget_row = (-np.diag(d).astype(np.complex128), -p_r)
-    r_low, x_best = _bisect_profile(ch, sp, kappa, cfg, SumPower(p_r), budget_rows=(budget_row,))
-    # The feasibility tolerance lets the witness overshoot the budget by
-    # float dust; scale it back so extracted beamformers meet it exactly.
-    power = float(d @ np.real(np.diag(x_best)))
-    if power > p_r:
-        x_best = x_best * (p_r / power)
-    return r_low, x_best
+    return _bisect_profile(ch, sp, kappa, SumPower(p_r), epsilon)
 
 
 def algorithm2_individual(
@@ -296,18 +283,14 @@ def algorithm2_individual(
     sp: SystemParams,
     p: np.ndarray,
     kappa: float | RateProfile,
-    cfg: BisectionConfig = BisectionConfig(),
+    epsilon: float = 1e-4,
 ) -> tuple[float, np.ndarray]:
     """Largest relaxed sum rate supportable under per-relay power caps ``p``.
 
     Same bisection as the sum-power driver, with the caps folded into each
     feasibility SDP as diagonal bounds X_ii <= p_i/D_ii.
     """
-    caps_budget = IndividualPower(p)
-    if caps_budget.k != ch.k:
-        raise DomainError("per-relay caps must have one entry per relay")
-    caps = caps_budget.p / noise_matrices(ch, sp).d
-    return _bisect_profile(ch, sp, kappa, cfg, caps_budget, caps=caps)
+    return _bisect_profile(ch, sp, kappa, IndividualPower(p), epsilon)
 
 
 def _trace_preserving_direction(mats: np.ndarray) -> np.ndarray:

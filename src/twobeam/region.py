@@ -27,7 +27,6 @@ from .model import (
     rate_pair,
 )
 from .nonrecip import (
-    BisectionConfig,
     algorithm1_sum_power,
     algorithm2_individual,
     randomize_rank_one,
@@ -251,11 +250,10 @@ def _boundary_point(
             w = individual_power_beamformer(ch, sp, sc.budget.p, sol)
         r = rate_pair(ch, sp, w)
         return (r.r1, r.r2), None
-    cfg = BisectionConfig(epsilon=sc.epsilon_bits)
     if isinstance(sc.budget, SumPower):
-        r_sum, _ = algorithm1_sum_power(ch, sp, sc.budget.p_r, g, cfg)
+        r_sum, _ = algorithm1_sum_power(ch, sp, sc.budget.p_r, g, sc.epsilon_bits)
         return (g * r_sum, (1.0 - g) * r_sum), None
-    r_sum, x_best = algorithm2_individual(ch, sp, sc.budget.p, g, cfg)
+    r_sum, x_best = algorithm2_individual(ch, sp, sc.budget.p, g, sc.epsilon_bits)
     gamma1, gamma2 = snr_targets(g, r_sum)
     rnd = randomize_rank_one(
         x_best, ch, sp, gamma1, gamma2, num_candidates=sc.rand_candidates, seed=rand_seed

@@ -316,6 +316,32 @@ class TestSolveCommand:
         assert "randomized extraction over 100 candidates" in stdout
         assert "budget check (per-relay caps): ok" in stdout
 
+    def test_high_source_power_caps_beamformer_meets_caps(self, tmp_path, capsys):
+        # At P_S = 1e6 W the caps witness sits within the solver's feasibility
+        # tolerance above a cap; it must be scaled back before extraction.
+        path = scenario_file(
+            tmp_path,
+            k=3,
+            reciprocal=False,
+            p_s1_watts=1e6,
+            p_s2_watts=1e6,
+            budget={"kind": "individual", "p_watts": [2.0, 2.0, 2.0]},
+        )
+        assert main(["solve", path, "--kappa", "1.0", "--realization-seed", "90"]) == 0
+        assert "budget check (per-relay caps): ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "budget", [{"kind": "sum", "p_r_watts": 10.0}, {"kind": "individual", "p_watts": [2.0, 1.0]}]
+    )
+    def test_budget_violation_exits_one(self, tmp_path, capsys, monkeypatch, budget):
+        real = twobeam.cli.relay_powers
+        monkeypatch.setattr(
+            "twobeam.cli.relay_powers", lambda ch, sp, w: real(ch, sp, w) * (1.0 + 1e-6)
+        )
+        path = scenario_file(tmp_path, budget=budget)
+        assert main(["solve", path, "--mu", "0.5"]) == 1
+        assert "): VIOLATED" in capsys.readouterr().out
+
     def test_realization_seed_changes_the_draw(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
         assert main(["solve", path, "--mu", "0.5"]) == 0
@@ -344,6 +370,28 @@ class TestValidateCommand:
         assert report["suite"] == "region"
         assert report["passed"] is True
         assert [c["passed"] for c in report["checks"]] == [True, True, True]
+
+    def test_all_suites_pass_and_write_report(self, tmp_path, capsys):
+        assert main(["validate", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
+        names = [
+            "recip-closed-form-beats-grid",
+            "recip-sweep-hull-contains-cloud",
+            "recip-local-rules-rebuild-beamformers",
+            "nonrecip-rank-one-matches-relaxation",
+            "nonrecip-caps-never-beat-pooled-budget",
+            "nonrecip-one-way-endpoint-matches-closed-form",
+            "sdp-certified-optima-match-descent-oracle",
+            "sdp-feasibility-agrees-with-descent-oracle",
+            "region-hull-matches-bruteforce",
+            "region-build-deterministic-and-self-contained",
+            "region-heuristic-point-inside-optimal-region",
+        ]
+        stdout = capsys.readouterr().out
+        assert [line.split()[1] for line in stdout.splitlines() if line.startswith("pass  ")] == names
+        report = json.loads((tmp_path / "validation_all.json").read_text())
+        assert report["suite"] == "all"
+        assert report["passed"] is True
+        assert [(c["name"], c["passed"]) for c in report["checks"]] == [(n, True) for n in names]
 
     def test_seed_is_echoed_into_report(self, tmp_path):
         assert main(["validate", "region", "--seed", "3", "--out", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 """Rate-profile pipeline: bisection drivers, rank-one recovery, SNR targets."""
 
+import inspect
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -24,7 +25,6 @@ from twobeam.model import (
     snr_pair,
 )
 from twobeam.nonrecip import (
-    BisectionConfig,
     ExactReduction,
     Randomization,
     RateProfile,
@@ -64,19 +64,20 @@ class TestRateProfile:
 
 
 class TestBisectionConfig:
+    """The bisection gap epsilon, the one stopping control a caller sets."""
+
     def test_validation(self):
-        with pytest.raises(DomainError):
-            BisectionConfig(epsilon=0.0)
-        with pytest.raises(DomainError):
-            BisectionConfig(max_iters=0)
-        with pytest.raises(DomainError):
-            BisectionConfig(r_max=-1.0)
+        ch = draw_nonreciprocal(np.random.default_rng(37), 2)
+        sp = unit_params(2)
+        for epsilon in (0.0, -1e-4):
+            with pytest.raises(DomainError):
+                algorithm1_sum_power(ch, sp, 10.0, 0.5, epsilon)
+            with pytest.raises(DomainError):
+                algorithm2_individual(ch, sp, np.full(2, 2.0), 0.5, epsilon)
 
     def test_defaults(self):
-        cfg = BisectionConfig()
-        assert cfg.epsilon == 1e-4
-        assert cfg.max_iters == 60
-        assert cfg.r_max is None
+        for driver in (algorithm1_sum_power, algorithm2_individual):
+            assert inspect.signature(driver).parameters["epsilon"].default == 1e-4
 
 
 class TestSnrTargets:
@@ -228,12 +229,12 @@ class TestAlgorithm1:
         rng = np.random.default_rng(33)
         ch = draw_nonreciprocal(rng, 3)
         sp = unit_params(3)
-        cfg = BisectionConfig(epsilon=1e-4)
-        r_sum, _ = algorithm1_sum_power(ch, sp, 10.0, 0.4, cfg)
+        epsilon = 1e-4
+        r_sum, _ = algorithm1_sum_power(ch, sp, 10.0, 0.4, epsilon)
         at_low = min_power_sdp(ch, sp, 0.4, r_sum)
         assert at_low.status is SdpStatus.OPTIMAL
         assert at_low.objective <= 10.0 * (1.0 + 1e-9)
-        probe = min_power_sdp(ch, sp, 0.4, r_sum + 2.0 * cfg.epsilon)
+        probe = min_power_sdp(ch, sp, 0.4, r_sum + 2.0 * epsilon)
         assert probe.status is not SdpStatus.OPTIMAL or probe.objective > 10.0
 
     def test_shipped_scenario_solves_within_budget_without_min_power(self, monkeypatch, capsys):
@@ -255,12 +256,12 @@ class TestAlgorithm1:
         assert main(["solve", str(SHIPPED_SUM), "--kappa", "0.5"]) == 0
         assert "budget check (sum <= 10.0 W): ok" in capsys.readouterr().out
 
-    def test_exhausted_iterations_raise(self):
+    def test_exhausted_iterations_raise(self, monkeypatch):
         rng = np.random.default_rng(34)
         ch = draw_nonreciprocal(rng, 2)
-        cfg = BisectionConfig(epsilon=1e-12, max_iters=3)
+        monkeypatch.setattr(nonrecip, "_MAX_STEPS", 3)
         with pytest.raises(SolverError):
-            algorithm1_sum_power(ch, unit_params(2), 10.0, 0.5, cfg)
+            algorithm1_sum_power(ch, unit_params(2), 10.0, 0.5, 1e-12)
 
     @pytest.mark.parametrize("budget", ["pooled", "caps"])
     def test_unresolved_verdict_raises(self, monkeypatch, budget):
@@ -487,7 +488,7 @@ class TestRandomizeRankOne:
 
 EDGE_CASES = ["k1", "dead_relay", "h1_zero", "p_s_1e-6", "p_s_1e6"]
 EDGE_KAPPAS = [0.0, 0.5, 1.0]
-EDGE_EPS = BisectionConfig().epsilon
+EDGE_EPS = 1e-4
 
 
 def edge_instance(case: str) -> tuple[ChannelSet, SystemParams]:
@@ -505,13 +506,6 @@ def edge_instance(case: str) -> tuple[ChannelSet, SystemParams]:
         p_s = float(case[4:])
         sp = replace(sp, p_s1=p_s, p_s2=p_s)
     return ch, sp
-
-
-# The caps witness is not scaled back into the caps the way the pooled one
-# is scaled into its budget, so a cap can be overshot within the solver's
-# 1e-8 feasibility tolerance: at P_S = 1e6 W by 5.8e-9 (kappa 0.5) and
-# 9.3e-9 (kappa 1) relative, past the 1e-9 budget check of `twobeam solve`.
-CAPS_OVERSHOOT = pytest.mark.xfail(strict=True, reason="caps witness overshoots its caps")
 
 
 @cache
@@ -544,16 +538,8 @@ class TestEdgeInputs:
         assert r >= 0.0
         assert profile_rate(res.rates, kappa) <= r + EDGE_EPS
 
-    @pytest.mark.parametrize(
-        "case, kappa",
-        [
-            pytest.param(case, kappa, marks=CAPS_OVERSHOOT)
-            if case == "p_s_1e6" and kappa > 0.0
-            else (case, kappa)
-            for case in EDGE_CASES
-            for kappa in EDGE_KAPPAS
-        ],
-    )
+    @pytest.mark.parametrize("kappa", EDGE_KAPPAS)
+    @pytest.mark.parametrize("case", EDGE_CASES)
     def test_caps_met(self, case, kappa):
         ch, sp, p, _, res = edge_caps_run(case, kappa)
         assert np.all(relay_powers(ch, sp, res.w) <= p * (1.0 + 1e-9))
