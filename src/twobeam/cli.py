@@ -97,10 +97,13 @@ def _as_number_list(value, name: str) -> list[float]:
     return [_as_number(v, name) for v in value]
 
 
-def _get(doc: dict, name: str):
-    if name not in doc:
+def _get(doc: dict, name: str, parse=None):
+    """Required field ``name``, looked up in ``doc`` by its last dotted part and
+    checked by ``parse(value, name)`` when given."""
+    key = name.rpartition(".")[2]
+    if key not in doc:
         raise ScenarioError(name, "missing required field")
-    return doc[name]
+    return doc[key] if parse is None else parse(doc[key], name)
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -111,11 +114,11 @@ def scenario_from_dict(doc) -> Scenario:
     """
     if not isinstance(doc, dict):
         raise ScenarioError("document", "must be a JSON object")
-    version = _as_int(_get(doc, "schema_version"), "schema_version")
+    version = _get(doc, "schema_version", _as_int)
     if version != 1:
         raise ScenarioError("schema_version", f"unsupported version {version}")
-    k = _as_int(_get(doc, "k"), "k")
-    reciprocal = _as_bool(_get(doc, "reciprocal"), "reciprocal")
+    k = _get(doc, "k", _as_int)
+    reciprocal = _get(doc, "reciprocal", _as_bool)
     sigma_raw = _get(doc, "sigma_relay_watts")
     if isinstance(sigma_raw, list):
         sigma_relay = np.array(_as_number_list(sigma_raw, "sigma_relay_watts"))
@@ -127,17 +130,11 @@ def scenario_from_dict(doc) -> Scenario:
     kind = budget_doc.get("kind")
     try:
         if kind == "sum":
-            budget = SumPower(p_r=_as_number(_get(budget_doc, "p_r_watts"), "budget.p_r_watts"))
+            budget = SumPower(p_r=_get(budget_doc, "budget.p_r_watts", _as_number))
         elif kind == "individual":
-            budget = IndividualPower(
-                p=np.array(_as_number_list(_get(budget_doc, "p_watts"), "budget.p_watts"))
-            )
+            budget = IndividualPower(p=_get(budget_doc, "budget.p_watts", _as_number_list))
         else:
             raise ScenarioError("budget.kind", "must be 'sum' or 'individual'")
-    except ScenarioError as exc:
-        if exc.field in ("p_r_watts", "p_watts"):
-            raise ScenarioError(f"budget.{exc.field}", "missing required field") from exc
-        raise
     except (DomainError, DimensionMismatchError) as exc:
         raise ScenarioError("budget", str(exc)) from exc
     grid_doc = doc.get("grid", {"step": 0.05})
@@ -152,11 +149,11 @@ def scenario_from_dict(doc) -> Scenario:
         raise ScenarioError("grid.step", str(exc)) from exc
     try:
         params = SystemParams(
-            p_s1=_as_number(_get(doc, "p_s1_watts"), "p_s1_watts"),
-            p_s2=_as_number(_get(doc, "p_s2_watts"), "p_s2_watts"),
+            p_s1=_get(doc, "p_s1_watts", _as_number),
+            p_s2=_get(doc, "p_s2_watts", _as_number),
             sigma_relay=sigma_relay,
-            sigma_s1_sq=_as_number(_get(doc, "sigma_s1_sq_watts"), "sigma_s1_sq_watts"),
-            sigma_s2_sq=_as_number(_get(doc, "sigma_s2_sq_watts"), "sigma_s2_sq_watts"),
+            sigma_s1_sq=_get(doc, "sigma_s1_sq_watts", _as_number),
+            sigma_s2_sq=_get(doc, "sigma_s2_sq_watts", _as_number),
         )
         return Scenario(
             k=k,
@@ -164,8 +161,8 @@ def scenario_from_dict(doc) -> Scenario:
             budget=budget,
             reciprocal=reciprocal,
             grid=grid,
-            realizations=_as_int(_get(doc, "realizations"), "realizations"),
-            seed=_as_int(_get(doc, "seed"), "seed"),
+            realizations=_get(doc, "realizations", _as_int),
+            seed=_get(doc, "seed", _as_int),
             channel_variance=_as_number(doc.get("channel_variance", 1.0), "channel_variance"),
             epsilon_bits=_as_number(doc.get("epsilon_bits", 1e-4), "epsilon_bits"),
             rand_candidates=_as_int(doc.get("rand_candidates", 1000), "rand_candidates"),
@@ -355,7 +352,7 @@ def _sum_power_sweep_hull(ch: ChannelSet, sp: SystemParams) -> np.ndarray:
     return closed_hull(np.array(pts))
 
 
-def _check_recip_grid_optimality(seed: int) -> dict:
+def _check_recip_grid_optimality(seed: int) -> tuple[bool, dict]:
     from .oracle import best_wsis_grid, wsis_objective
 
     rng = _spawned_rng(seed, 0)
@@ -372,14 +369,10 @@ def _check_recip_grid_optimality(seed: int) -> dict:
         if gap > worst:
             worst = gap
             counterexample = {"trial": trial, "mu": mu, "closed": closed, "grid": grid_obj}
-    return {
-        "name": "recip-closed-form-beats-grid",
-        "passed": bool(worst <= 1e-9),
-        "details": {"worst_gap": worst, "at": counterexample, "seed": seed},
-    }
+    return bool(worst <= 1e-9), {"worst_gap": worst, "at": counterexample}
 
 
-def _check_recip_hull_containment(seed: int) -> dict:
+def _check_recip_hull_containment(seed: int) -> tuple[bool, dict]:
     from .oracle import random_beamformer_cloud
 
     rng = _spawned_rng(seed, 1)
@@ -389,14 +382,10 @@ def _check_recip_hull_containment(seed: int) -> dict:
     cloud = random_beamformer_cloud(ch, sp, SumPower(10.0), 2000, seed=seed, matched_phases=True)
     cloud_pts = np.array([[r.r1, r.r2] for _, r in cloud])
     expansion = points_expansion(hull, cloud_pts)
-    return {
-        "name": "recip-sweep-hull-contains-cloud",
-        "passed": bool(expansion <= 1e-6),
-        "details": {"expansion_bits": expansion, "samples": 2000, "seed": seed},
-    }
+    return bool(expansion <= 1e-6), {"expansion_bits": expansion, "samples": 2000}
 
 
-def _check_recip_local_reassembly(seed: int) -> dict:
+def _check_recip_local_reassembly(seed: int) -> tuple[bool, dict]:
     rng = _spawned_rng(seed, 2)
     worst = 0.0
     for _ in range(20):
@@ -425,14 +414,10 @@ def _check_recip_local_reassembly(seed: int) -> dict:
             ]
         )
         worst = max(worst, float(np.max(np.abs(local_i - w_i.w))))
-    return {
-        "name": "recip-local-rules-rebuild-beamformers",
-        "passed": bool(worst <= 1e-12),
-        "details": {"worst_abs_error": worst, "instances": 20, "seed": seed},
-    }
+    return bool(worst <= 1e-12), {"worst_abs_error": worst, "instances": 20}
 
 
-def _check_nonrecip_sdr_exactness(seed: int) -> dict:
+def _check_nonrecip_sdr_exactness(seed: int) -> tuple[bool, dict]:
     rng = _spawned_rng(seed, 3)
     worst = -np.inf
     counterexample = None
@@ -447,28 +432,20 @@ def _check_nonrecip_sdr_exactness(seed: int) -> dict:
         if gap > worst:
             worst = gap
             counterexample = {"trial": trial, "kappa": kappa, "relaxed": r_sum}
-    return {
-        "name": "nonrecip-rank-one-matches-relaxation",
-        "passed": bool(worst <= 2e-4),
-        "details": {"worst_gap_bits": worst, "at": counterexample, "seed": seed},
-    }
+    return bool(worst <= 2e-4), {"worst_gap_bits": worst, "at": counterexample}
 
 
-def _check_nonrecip_budget_ordering(seed: int) -> dict:
+def _check_nonrecip_budget_ordering(seed: int) -> tuple[bool, dict]:
     rng = _spawned_rng(seed, 4)
     ch = draw_channels(rng, 3, False)
     sp = _unit_params(3)
     caps = np.array([4.0, 2.0, 4.0])
     r_ind, _ = algorithm2_individual(ch, sp, caps, 0.5)
     r_sum, _ = algorithm1_sum_power(ch, sp, float(caps.sum()), 0.5)
-    return {
-        "name": "nonrecip-caps-never-beat-pooled-budget",
-        "passed": bool(r_ind <= r_sum + 2e-4),
-        "details": {"individual": r_ind, "sum": r_sum, "seed": seed},
-    }
+    return bool(r_ind <= r_sum + 2e-4), {"individual": r_ind, "sum": r_sum}
 
 
-def _check_nonrecip_endpoint_consistency(seed: int) -> dict:
+def _check_nonrecip_endpoint_consistency(seed: int) -> tuple[bool, dict]:
     rng = _spawned_rng(seed, 5)
     ch = draw_channels(rng, 3, True)
     sp = _unit_params(3)
@@ -476,11 +453,7 @@ def _check_nonrecip_endpoint_consistency(seed: int) -> dict:
     r_closed = rate_pair(ch, sp, sum_power_beamformer(ch, sol)).r1
     r_sdp, _ = algorithm1_sum_power(ch, sp, 10.0, 1.0)
     gap = abs(r_closed - r_sdp)
-    return {
-        "name": "nonrecip-one-way-endpoint-matches-closed-form",
-        "passed": bool(gap <= 1e-3),
-        "details": {"closed_form": r_closed, "bisection": r_sdp, "gap_bits": gap, "seed": seed},
-    }
+    return bool(gap <= 1e-3), {"closed_form": r_closed, "bisection": r_sdp, "gap_bits": gap}
 
 
 def _random_sdr_problem(rng: np.random.Generator, k: int, with_caps: bool) -> SdpProblem:
@@ -494,7 +467,7 @@ def _random_sdr_problem(rng: np.random.Generator, k: int, with_caps: bool) -> Sd
     return SdpProblem(dimension=k, objective=c, constraints=tuple(cons), caps=caps)
 
 
-def _check_sdp_certificates(seed: int) -> dict:
+def _check_sdp_certificates(seed: int) -> tuple[bool, dict]:
     from .oracle import min_trace_descent
 
     rng = _spawned_rng(seed, 6)
@@ -520,14 +493,10 @@ def _check_sdp_certificates(seed: int) -> dict:
                     "max_violation": sol.max_violation,
                 }
             )
-    return {
-        "name": "sdp-certified-optima-match-descent-oracle",
-        "passed": not failures,
-        "details": {"instances": 20, "failures": failures, "seed": seed},
-    }
+    return not failures, {"instances": 20, "failures": failures}
 
 
-def _check_sdp_feasibility_verdicts(seed: int) -> dict:
+def _check_sdp_feasibility_verdicts(seed: int) -> tuple[bool, dict]:
     from .oracle import feasibility_descent
 
     rng = _spawned_rng(seed, 7)
@@ -548,14 +517,10 @@ def _check_sdp_feasibility_verdicts(seed: int) -> dict:
         checked += 1
         if verdict != oracle_verdict:
             disagreements.append({"trial": trial, "solver": verdict, "oracle": oracle_verdict})
-    return {
-        "name": "sdp-feasibility-agrees-with-descent-oracle",
-        "passed": not disagreements and checked >= 5,
-        "details": {"checked": checked, "disagreements": disagreements, "seed": seed},
-    }
+    return not disagreements and checked >= 5, {"checked": checked, "disagreements": disagreements}
 
 
-def _check_region_hull_oracle(seed: int) -> dict:
+def _check_region_hull_oracle(seed: int) -> tuple[bool, dict]:
     from .oracle import hull_bruteforce
 
     rng = _spawned_rng(seed, 8)
@@ -566,14 +531,10 @@ def _check_region_hull_oracle(seed: int) -> dict:
         slow = hull_bruteforce(pts)
         if fast.shape != slow.shape or not np.array_equal(fast, slow):
             mismatches += 1
-    return {
-        "name": "region-hull-matches-bruteforce",
-        "passed": mismatches == 0,
-        "details": {"clouds": 5, "mismatches": mismatches, "seed": seed},
-    }
+    return mismatches == 0, {"clouds": 5, "mismatches": mismatches}
 
 
-def _check_region_build_reproducible(seed: int) -> dict:
+def _check_region_build_reproducible(seed: int) -> tuple[bool, dict]:
     sc = Scenario(
         k=2,
         params=_unit_params(2),
@@ -587,53 +548,49 @@ def _check_region_build_reproducible(seed: int) -> dict:
     second = build_region(sc)
     identical = region_csv_text(first) == region_csv_text(second)
     self_contained = region_contains(first, first, 0.0).contains
-    return {
-        "name": "region-build-deterministic-and-self-contained",
-        "passed": bool(identical and self_contained),
-        "details": {"identical": identical, "self_contained": self_contained, "seed": seed},
-    }
+    details = {"identical": identical, "self_contained": self_contained}
+    return bool(identical and self_contained), details
 
 
-def _check_region_heuristics_inside(seed: int) -> dict:
+def _check_region_heuristics_inside(seed: int) -> tuple[bool, dict]:
     rng = _spawned_rng(seed, 9)
     ch = draw_channels(rng, 3, True)
     sp = _unit_params(3)
     hull = _sum_power_sweep_hull(ch, sp)
     r = rate_pair(ch, sp, greedy_phase_bf(ch, sp, SumPower(10.0)))
     expansion = points_expansion(hull, np.array([[r.r1, r.r2]]))
-    return {
-        "name": "region-heuristic-point-inside-optimal-region",
-        "passed": bool(expansion <= 1e-6),
-        "details": {"expansion_bits": expansion, "seed": seed},
-    }
+    return bool(expansion <= 1e-6), {"expansion_bits": expansion}
 
 
 _SUITES: dict[str, list] = {
     "recip": [
-        _check_recip_grid_optimality,
-        _check_recip_hull_containment,
-        _check_recip_local_reassembly,
+        ("recip-closed-form-beats-grid", _check_recip_grid_optimality),
+        ("recip-sweep-hull-contains-cloud", _check_recip_hull_containment),
+        ("recip-local-rules-rebuild-beamformers", _check_recip_local_reassembly),
     ],
     "nonrecip": [
-        _check_nonrecip_sdr_exactness,
-        _check_nonrecip_budget_ordering,
-        _check_nonrecip_endpoint_consistency,
+        ("nonrecip-rank-one-matches-relaxation", _check_nonrecip_sdr_exactness),
+        ("nonrecip-caps-never-beat-pooled-budget", _check_nonrecip_budget_ordering),
+        ("nonrecip-one-way-endpoint-matches-closed-form", _check_nonrecip_endpoint_consistency),
     ],
     "sdp": [
-        _check_sdp_certificates,
-        _check_sdp_feasibility_verdicts,
+        ("sdp-certified-optima-match-descent-oracle", _check_sdp_certificates),
+        ("sdp-feasibility-agrees-with-descent-oracle", _check_sdp_feasibility_verdicts),
     ],
     "region": [
-        _check_region_hull_oracle,
-        _check_region_build_reproducible,
-        _check_region_heuristics_inside,
+        ("region-hull-matches-bruteforce", _check_region_hull_oracle),
+        ("region-build-deterministic-and-self-contained", _check_region_build_reproducible),
+        ("region-heuristic-point-inside-optimal-region", _check_region_heuristics_inside),
     ],
 }
-_SUITES["all"] = [fn for name in ("recip", "nonrecip", "sdp", "region") for fn in _SUITES[name]]
+_SUITES["all"] = [pair for name in ("recip", "nonrecip", "sdp", "region") for pair in _SUITES[name]]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    checks = [fn(args.seed) for fn in _SUITES[args.suite]]
+    checks = []
+    for name, check in _SUITES[args.suite]:
+        passed, details = check(args.seed)
+        checks.append({"name": name, "passed": passed, "details": {**details, "seed": args.seed}})
     passed = all(c["passed"] for c in checks)
     report = {
         "schema_version": 1,

@@ -47,23 +47,6 @@ _MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
-class RateProfile:
-    """Split of the sum rate between the two directions."""
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        kappa = float(self.kappa)
-        if not np.isfinite(kappa) or not 0.0 <= kappa <= 1.0:
-            raise DomainError("kappa must lie in [0, 1]")
-        object.__setattr__(self, "kappa", kappa)
-
-    @property
-    def kappa_bar(self) -> float:
-        return 1.0 - self.kappa
-
-
-@dataclass(frozen=True)
 class ExactReduction:
     """Provenance tag for the null-space rank-one reduction.
 
@@ -93,33 +76,37 @@ class RankOneResult:
     source: ExactReduction | Randomization
 
 
-def _as_profile(kappa: float | RateProfile) -> RateProfile:
-    return kappa if isinstance(kappa, RateProfile) else RateProfile(kappa)
+def _split(kappa: float) -> tuple[float, float]:
+    """The profile (kappa, 1 - kappa); kappa must lie in [0, 1]."""
+    kappa = float(kappa)
+    if not 0.0 <= kappa <= 1.0:
+        raise DomainError("kappa must lie in [0, 1]")
+    return kappa, 1.0 - kappa
 
 
-def profile_rate(rates: RatePair, kappa: float | RateProfile) -> float:
+def profile_rate(rates: RatePair, kappa: float) -> float:
     """Largest sum rate the pair supports at the given profile.
 
     Returns sup{R : r1 >= kappa R and r2 >= (1-kappa) R}; the value a
     beamformer contributes toward a rate-profile target, which never exceeds
     the relaxed optimum even when the raw sum r1 + r2 does.
     """
-    profile = _as_profile(kappa)
+    kappa, kappa_bar = _split(kappa)
     supported = np.inf
-    if profile.kappa > 0.0:
-        supported = min(supported, rates.r1 / profile.kappa)
-    if profile.kappa_bar > 0.0:
-        supported = min(supported, rates.r2 / profile.kappa_bar)
+    if kappa > 0.0:
+        supported = min(supported, rates.r1 / kappa)
+    if kappa_bar > 0.0:
+        supported = min(supported, rates.r2 / kappa_bar)
     return supported
 
 
-def snr_targets(kappa: float | RateProfile, r: float) -> tuple[float, float]:
+def snr_targets(kappa: float, r: float) -> tuple[float, float]:
     """SNR thresholds implied by splitting sum rate ``r`` as (kappa, 1-kappa).
 
     Returns ``(gamma1, gamma2)``; a target whose exponent exceeds the desk
     scale comes back as ``inf`` and should be treated as unreachable.
     """
-    profile = _as_profile(kappa)
+    kappa, kappa_bar = _split(kappa)
     if not np.isfinite(r) or r < 0.0:
         raise DomainError("rate r must be finite and nonnegative")
 
@@ -128,7 +115,7 @@ def snr_targets(kappa: float | RateProfile, r: float) -> tuple[float, float]:
             return np.inf
         return 2.0 ** (2.0 * split * r) - 1.0
 
-    return gamma(profile.kappa), gamma(profile.kappa_bar)
+    return gamma(kappa), gamma(kappa_bar)
 
 
 def snr_constraint_rows(
@@ -167,7 +154,7 @@ def r_max_bound(ch: ChannelSet, sp: SystemParams, budget: PowerBudget) -> float:
 
 
 def min_power_sdp(
-    ch: ChannelSet, sp: SystemParams, kappa: float | RateProfile, r: float
+    ch: ChannelSet, sp: SystemParams, kappa: float, r: float
 ) -> SdpSolution:
     """Minimum relay sum power supporting sum rate ``r`` at profile ``kappa``.
 
@@ -206,7 +193,7 @@ def min_power_sdp(
 def _bisect_profile(
     ch: ChannelSet,
     sp: SystemParams,
-    kappa: float | RateProfile,
+    kappa: float,
     budget: PowerBudget,
     epsilon: float,
 ) -> tuple[float, np.ndarray]:
@@ -265,7 +252,7 @@ def algorithm1_sum_power(
     ch: ChannelSet,
     sp: SystemParams,
     p_r: float,
-    kappa: float | RateProfile,
+    kappa: float,
     epsilon: float = 1e-4,
 ) -> tuple[float, np.ndarray]:
     """Largest relaxed sum rate supportable with total relay power ``p_r``.
@@ -282,7 +269,7 @@ def algorithm2_individual(
     ch: ChannelSet,
     sp: SystemParams,
     p: np.ndarray,
-    kappa: float | RateProfile,
+    kappa: float,
     epsilon: float = 1e-4,
 ) -> tuple[float, np.ndarray]:
     """Largest relaxed sum rate supportable under per-relay power caps ``p``.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,9 @@ BASE_DOC = {
     "realizations": 2,
     "seed": 7,
 }
+
+
+SHIPPED_SUM = Path(__file__).resolve().parents[1] / "scenarios" / "nonreciprocal-sum.json"
 
 
 def scenario_file(tmp_path, name="scenario.json", **overrides):
@@ -187,6 +191,49 @@ class TestExitCodes:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(json.dumps({**BASE_DOC, "k": 2.5}), "k", id="k"),
+            pytest.param(json.dumps({**BASE_DOC, "reciprocal": 1}), "reciprocal", id="reciprocal"),
+            pytest.param(
+                json.dumps({**BASE_DOC, "sigma_relay_watts": []}),
+                "sigma_relay_watts",
+                id="sigma_relay_watts",
+            ),
+            pytest.param("[]", "document", id="document"),
+            pytest.param(json.dumps({**BASE_DOC, "budget": 5}), "budget", id="budget"),
+            pytest.param(
+                json.dumps({**BASE_DOC, "budget": {"kind": "sum", "p_r_watts": -1}}),
+                "budget",
+                id="budget-negative",
+            ),
+            pytest.param(json.dumps({**BASE_DOC, "grid": {"step": 0.3}}), "grid.step", id="grid"),
+            pytest.param("{", "file", id="file"),
+            pytest.param(
+                json.dumps({**BASE_DOC, "budget": {"kind": "individual"}}),
+                "budget.p_watts",
+                id="budget.p_watts",
+            ),
+        ],
+    )
+    def test_malformed_scenario_exits_two_naming_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["region", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: scenario field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_solve_failure_exits_three(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SolverError("injected")
+
+        monkeypatch.setattr("twobeam.cli.algorithm1_sum_power", failing)
+        assert main(["solve", str(SHIPPED_SUM), "--kappa", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert "error: injected" in captured.err.splitlines()
+        assert captured.out == ""
+
     def test_total_solver_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         def always_failing(ch, sp, p_r, mu):
             raise SolverError("injected")
@@ -304,6 +351,17 @@ class TestSolveCommand:
         achieved = float(stdout.split("achieved profile rate: ")[1].split()[0])
         assert achieved >= relaxed - 1e-6
 
+    def test_nonreciprocal_sum_reports_fallback(self, capsys, monkeypatch):
+        from twobeam.nonrecip import ExactReduction, rank_one_reduce
+
+        def forced_fallback(*args):
+            return replace(rank_one_reduce(*args), source=ExactReduction(fallback=True))
+
+        monkeypatch.setattr("twobeam.cli.rank_one_reduce", forced_fallback)
+        assert main(["solve", str(SHIPPED_SUM), "--kappa", "0.5"]) == 0
+        stdout = capsys.readouterr().out
+        assert "extraction: exact rank-one reduction (dominant-eigenvector fallback)" in stdout
+
     def test_nonreciprocal_individual_reports_randomization(self, tmp_path, capsys):
         path = scenario_file(
             tmp_path,
@@ -392,6 +450,10 @@ class TestValidateCommand:
         assert report["suite"] == "all"
         assert report["passed"] is True
         assert [(c["name"], c["passed"]) for c in report["checks"]] == [(n, True) for n in names]
+        for check in report["checks"]:
+            assert list(check) == ["name", "passed", "details"]
+            assert list(check["details"])[-1] == "seed"
+            assert check["details"]["seed"] == 0
 
     def test_seed_is_echoed_into_report(self, tmp_path):
         assert main(["validate", "region", "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -400,9 +462,7 @@ class TestValidateCommand:
         assert all(c["details"]["seed"] == 3 for c in report["checks"])
 
     def test_violation_exits_one_with_counterexample(self, tmp_path, capsys, monkeypatch):
-        def broken(seed):
-            return {"name": "stub-check", "passed": False, "details": {"seed": seed, "bad": 1}}
-
+        broken = ("stub-check", lambda seed: (False, {"bad": 1}))
         monkeypatch.setattr("twobeam.cli._SUITES", {"region": [broken]})
         assert main(["validate", "region", "--out", str(tmp_path)]) == 1
         stdout = capsys.readouterr().out

@@ -17,6 +17,7 @@ from twobeam.model import (
     Beamformer,
     ChannelSet,
     IndividualPower,
+    RatePair,
     SumPower,
     SystemParams,
     noise_matrices,
@@ -27,7 +28,6 @@ from twobeam.model import (
 from twobeam.nonrecip import (
     ExactReduction,
     Randomization,
-    RateProfile,
     algorithm1_sum_power,
     algorithm2_individual,
     min_power_sdp,
@@ -49,18 +49,18 @@ SHIPPED_SUM = Path(__file__).resolve().parents[1] / "scenarios" / "nonreciprocal
 
 class TestRateProfile:
     def test_range_validation(self):
-        with pytest.raises(DomainError):
-            RateProfile(-0.1)
-        with pytest.raises(DomainError):
-            RateProfile(1.1)
-        with pytest.raises(DomainError):
-            RateProfile(float("nan"))
+        rates = RatePair(1.0, 1.0)
+        for kappa in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DomainError):
+                snr_targets(kappa, 1.0)
+            with pytest.raises(DomainError):
+                profile_rate(rates, kappa)
 
     @given(kappa=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_split_sums_to_one(self, kappa):
-        profile = RateProfile(kappa)
-        assert profile.kappa + profile.kappa_bar == 1.0
+        gamma1, gamma2 = snr_targets(kappa, 1.0)
+        assert np.log2(1.0 + gamma1) + np.log2(1.0 + gamma2) == pytest.approx(2.0)
 
 
 class TestBisectionConfig:
@@ -344,6 +344,31 @@ class TestRankOneReduce:
             before = float(np.real(np.sum(mat.conj() * x)))
             after = float(np.real(w.conj() @ mat @ w))
             assert after == pytest.approx(before, abs=1e-8 * max(1.0, abs(before)))
+
+    @pytest.mark.parametrize("gamma1, gamma2", [(0.05, 0.02), (0.2, 0.2)])
+    def test_degenerate_step_falls_back_to_dominant_eigenvector(
+        self, monkeypatch, gamma1, gamma2
+    ):
+        rng = np.random.default_rng(43)
+        ch = draw_nonreciprocal(rng, 3)
+        sp = unit_params(3)
+        w1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        w2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        x = np.outer(w1, w1.conj()) + np.outer(w2, w2.conj())
+        monkeypatch.setattr(
+            nonrecip, "_trace_preserving_direction", lambda mats: np.zeros_like(mats[0])
+        )
+        res = rank_one_reduce(x, ch, sp, gamma1, gamma2)
+        assert res.source.fallback
+        top = np.linalg.eigh(x)[1][:, -1]
+        w = res.w.w
+        assert abs(top.conj() @ w) == pytest.approx(np.linalg.norm(w), rel=1e-12)
+        reachable = 0
+        for mat, rhs in snr_constraint_rows(ch, sp, gamma1, gamma2):
+            if float(np.real(top.conj() @ mat @ top)) > 0.0:
+                reachable += 1
+                assert float(np.real(w.conj() @ mat @ w)) >= rhs * (1.0 - 1e-9)
+        assert reachable >= 1
 
     @pytest.mark.parametrize("k", [4, 20])
     def test_full_rank_input_preserves_traces(self, monkeypatch, k):
