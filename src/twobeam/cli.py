@@ -106,6 +106,20 @@ def _get(doc: dict, name: str, parse=None):
     return doc[key] if parse is None else parse(doc[key], name)
 
 
+# Optional scenario fields and their parsers; an absent one keeps Scenario's default.
+_OPTIONAL = (
+    ("channel_variance", _as_number),
+    ("epsilon_bits", _as_number),
+    ("rand_candidates", _as_int),
+)
+
+# Each override flag of ``region`` and the scenario field it replaces.
+_OVERRIDES = (
+    ("seed", "seed"), ("realizations", "realizations"), ("epsilon", "epsilon_bits"),
+    ("rand_candidates", "rand_candidates"), ("grid_step", "grid"),
+)
+
+
 def scenario_from_dict(doc) -> Scenario:
     """Builds a Scenario from a parsed scenario document.
 
@@ -163,9 +177,7 @@ def scenario_from_dict(doc) -> Scenario:
             grid=grid,
             realizations=_get(doc, "realizations", _as_int),
             seed=_get(doc, "seed", _as_int),
-            channel_variance=_as_number(doc.get("channel_variance", 1.0), "channel_variance"),
-            epsilon_bits=_as_number(doc.get("epsilon_bits", 1e-4), "epsilon_bits"),
-            rand_candidates=_as_int(doc.get("rand_candidates", 1000), "rand_candidates"),
+            **{name: parse(doc[name], name) for name, parse in _OPTIONAL if name in doc},
         )
     except (DomainError, DimensionMismatchError) as exc:
         raise ScenarioError("scenario", str(exc)) from exc
@@ -185,18 +197,11 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        updates["realizations"] = args.realizations
-    if getattr(args, "epsilon", None) is not None:
-        updates["epsilon_bits"] = args.epsilon
-    if getattr(args, "rand_candidates", None) is not None:
-        updates["rand_candidates"] = args.rand_candidates
+    given = ((name, getattr(args, flag, None)) for flag, name in _OVERRIDES)
+    updates = {name: value for name, value in given if value is not None}
     try:
-        if getattr(args, "grid_step", None) is not None:
-            updates["grid"] = default_grid(args.grid_step)
+        if "grid" in updates:
+            updates["grid"] = default_grid(updates["grid"])
         return replace(sc, **updates) if updates else sc
     except (DomainError, DimensionMismatchError) as exc:
         raise ScenarioError("flags", str(exc)) from exc
@@ -244,20 +249,12 @@ def _solve_reciprocal(sc: Scenario, ch, mu: float):
     if isinstance(sc.budget, SumPower):
         sol = wsismin_sum_power(ch, sc.params, sc.budget.p_r, mu)
         w = sum_power_beamformer(ch, sol)
-        scalars = broadcast_params_sum(sol)
-        lines = [
-            f"broadcast mu: {float(scalars[0])!r}",
-            f"broadcast xi over weighted norm: {float(scalars[1])!r}",
-        ]
+        scalars, label = broadcast_params_sum(sol), "xi over weighted norm"
     else:
         sol = wsismin_individual(ch, sc.params, sc.budget.p, mu)
         w = individual_power_beamformer(ch, sc.params, sc.budget.p, sol)
-        scalars = broadcast_params_indiv(sol)
-        lines = [
-            f"broadcast mu: {float(scalars[0])!r}",
-            f"broadcast water level: {float(scalars[1])!r}",
-        ]
-    return w, lines
+        scalars, label = broadcast_params_indiv(sol), "water level"
+    return w, [f"broadcast mu: {float(scalars[0])!r}", f"broadcast {label}: {float(scalars[1])!r}"]
 
 
 def _solve_nonreciprocal(sc: Scenario, ch, kappa: float):
@@ -295,25 +292,21 @@ def _solve_nonreciprocal(sc: Scenario, ch, kappa: float):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
-    if sc.reciprocal:
-        if args.mu is None or args.kappa is not None:
-            print("error: reciprocal scenarios take --mu, not --kappa", file=sys.stderr)
-            return 2
-        weight = args.mu
-    else:
-        if args.kappa is None or args.mu is not None:
-            print("error: non-reciprocal scenarios take --kappa, not --mu", file=sys.stderr)
-            return 2
-        weight = args.kappa
+    kind = "reciprocal" if sc.reciprocal else "non-reciprocal"
+    flag, other = ("mu", "kappa") if sc.reciprocal else ("kappa", "mu")
+    weight = getattr(args, flag)
+    if weight is None or getattr(args, other) is not None:
+        print(f"error: {kind} scenarios take --{flag}, not --{other}", file=sys.stderr)
+        return 2
     if not 0.0 <= weight <= 1.0:
         print("error: the sweep weight must lie in [0, 1]", file=sys.stderr)
         return 2
     seed = args.realization_seed if args.realization_seed is not None else sc.seed
+    if seed < 0:
+        raise ScenarioError("flags", "realization seed must be nonnegative")
     ch = sample_channels(sc, seed)
-    if sc.reciprocal:
-        w, extra = _solve_reciprocal(sc, ch, weight)
-    else:
-        w, extra = _solve_nonreciprocal(sc, ch, weight)
+    solve = _solve_reciprocal if sc.reciprocal else _solve_nonreciprocal
+    w, extra = solve(sc, ch, weight)
     rates = rate_pair(ch, sc.params, w)
     powers = relay_powers(ch, sc.params, w)
     print(f"channel realization seed: {seed}")
@@ -481,8 +474,9 @@ def _check_sdp_certificates(seed: int) -> tuple[bool, dict]:
             and sol.max_violation <= 1e-8
         )
         if ok:
-            cons = [(np.asarray(a), float(b)) for a, b in prob.constraints]
-            oracle_obj, _ = min_trace_descent(prob.objective, cons, prob.caps, restarts=4, seed=trial)
+            oracle_obj, _ = min_trace_descent(
+                prob.objective, prob.constraints, prob.caps, restarts=4, seed=trial
+            )
             ok = abs(sol.objective - oracle_obj) <= 1e-4 * max(1.0, abs(oracle_obj))
         if not ok:
             failures.append(
@@ -504,13 +498,9 @@ def _check_sdp_feasibility_verdicts(seed: int) -> tuple[bool, dict]:
     checked = 0
     for trial in range(10):
         prob = _random_sdr_problem(rng, 3, with_caps=True)
-        feas_prob = SdpProblem(
-            dimension=3, objective=None, constraints=prob.constraints, caps=prob.caps
-        )
-        sol = solve_feasibility(feas_prob)
+        sol = solve_feasibility(replace(prob, objective=None))
         verdict = sol.status is SdpStatus.OPTIMAL
-        cons = [(np.asarray(a), float(b)) for a, b in prob.constraints]
-        oracle_verdict, _ = feasibility_descent(cons, prob.caps, restarts=6, seed=trial)
+        oracle_verdict, _ = feasibility_descent(prob.constraints, prob.caps, restarts=6, seed=trial)
         # Skip razor-edge margins where both sides sit at their tolerance.
         if abs(sol.objective) < 1e-4:
             continue

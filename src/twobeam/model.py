@@ -86,16 +86,10 @@ class SystemParams:
     sigma_s2_sq: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_s1", _require_positive_scalar(self.p_s1, "p_s1"))
-        object.__setattr__(self, "p_s2", _require_positive_scalar(self.p_s2, "p_s2"))
+        for name in ("p_s1", "p_s2", "sigma_s1_sq", "sigma_s2_sq"):
+            object.__setattr__(self, name, _require_positive_scalar(getattr(self, name), name))
         object.__setattr__(
             self, "sigma_relay", _as_positive_vector(self.sigma_relay, "sigma_relay")
-        )
-        object.__setattr__(
-            self, "sigma_s1_sq", _require_positive_scalar(self.sigma_s1_sq, "sigma_s1_sq")
-        )
-        object.__setattr__(
-            self, "sigma_s2_sq", _require_positive_scalar(self.sigma_s2_sq, "sigma_s2_sq")
         )
 
     @property
@@ -188,14 +182,7 @@ class Beamformer:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.w, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionMismatchError("w must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("w must contain only finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
+        object.__setattr__(self, "w", _as_complex_vector(self.w, "w"))
 
     @property
     def k(self) -> int:

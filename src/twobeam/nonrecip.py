@@ -317,14 +317,17 @@ def rank_one_reduce(
     matrices V^H B V, and step to the PSD boundary with X <- V (I - Delta /
     lambda_max(Delta)) V^H, which removes at least one rank each pass. Should
     the null-space step ever degenerate numerically, the dominant eigenvector
-    is returned instead and flagged.
+    of X is returned instead, flagged and scaled to spend exactly tr(D X):
+    along one direction both SNRs rise with the scale, so that is the best
+    beamformer on it within X's power, and it never spends more.
     """
     x = np.asarray(x_opt, dtype=np.complex128)
     k = ch.k
     if x.shape != (k, k):
         raise DomainError("x_opt must be K-by-K for the channel's K")
     (b1, _), (b2, _) = snr_constraint_rows(ch, sp, gamma1, gamma2)
-    mats = np.array([b1, b2, np.diag(noise_matrices(ch, sp).d)])
+    d = noise_matrices(ch, sp).d
+    mats = np.array([b1, b2, np.diag(d)])
 
     vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
     floor = 1e-9 * max(float(vals.max(initial=0.0)), 0.0)
@@ -356,22 +359,11 @@ def rank_one_reduce(
             fallback = True
             break
 
-    if fallback or v.shape[1] != 1:
-        top = int(np.argmax(vals))
-        w_vec = vecs[:, top] * np.sqrt(max(vals[top], 0.0))
-        # Scale up just enough to restore any SNR target the truncation lost;
-        # targets unreachable along this direction are left as they are.
-        grow = 1.0
-        for mat, rhs in snr_constraint_rows(ch, sp, gamma1, gamma2):
-            val = float(np.real(w_vec.conj() @ mat @ w_vec))
-            if 0.0 < val < rhs:
-                grow = max(grow, rhs / val)
-        w = Beamformer(w_vec * np.sqrt(grow))
-        return RankOneResult(
-            w=w, rates=rate_pair(ch, sp, w), source=ExactReduction(fallback=True)
-        )
+    if fallback:
+        top = vecs[:, int(np.argmax(vals))]
+        v = top[:, None] * np.sqrt((d @ np.real(np.diag(x))) / (d @ np.abs(top) ** 2))
     w = Beamformer(v[:, 0])
-    return RankOneResult(w=w, rates=rate_pair(ch, sp, w), source=ExactReduction())
+    return RankOneResult(w=w, rates=rate_pair(ch, sp, w), source=ExactReduction(fallback))
 
 
 def randomize_rank_one(

@@ -84,15 +84,12 @@ class SumPowerSolution:
     x: np.ndarray
     xi_over_norm: float
     mu: float
-    gamma_diag: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "gamma_diag", np.asarray(self.gamma_diag, dtype=np.float64))
         if np.any(self.x < 0.0):
             raise DomainError("magnitudes must be non-negative")
         self.x.setflags(write=False)
-        self.gamma_diag.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def wsismin_sum_power(
     scalar = xi / norm
     # Same expression the local rule evaluates, element by element.
     x = scalar * (fhat / gamma)
-    return SumPowerSolution(x=x, xi_over_norm=scalar, mu=mu, gamma_diag=gamma)
+    return SumPowerSolution(x=x, xi_over_norm=scalar, mu=mu)
 
 
 def broadcast_params_sum(sol: SumPowerSolution) -> tuple[float, float]:

@@ -302,35 +302,25 @@ def build_region(sc: Scenario) -> RegionResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    kept_grid = sc.grid[keep]
-    kept_success = n_success[keep]
-    means = np.nanmean(primary[:, keep, :], axis=0)
-    companion = None
-    if wants_randomized:
-        rand_means = np.nanmean(secondary[:, keep, :], axis=0)
-        companion = RegionResult(
-            solver="nonrecip-sdr-randomized",
-            grid=kept_grid,
-            means=rand_means,
-            n_success=kept_success,
-            hull=closed_hull(rand_means),
-            samples=secondary[:, keep, :] if sc.keep_samples else None,
+
+    def result(solver: str, samples: np.ndarray, randomized=None) -> RegionResult:
+        kept = samples[:, keep, :]
+        means = np.nanmean(kept, axis=0)
+        return RegionResult(
+            solver=solver,
+            grid=sc.grid[keep],
+            means=means,
+            n_success=n_success[keep],
+            hull=closed_hull(means),
+            samples=kept if sc.keep_samples else None,
+            randomized=randomized,
         )
+
     if sc.reciprocal:
-        tag = "recip-closed-form"
-    elif isinstance(sc.budget, SumPower):
-        tag = "nonrecip-sdr-bisection"
-    else:
-        tag = "nonrecip-sdr-relaxed"
-    return RegionResult(
-        solver=tag,
-        grid=kept_grid,
-        means=means,
-        n_success=kept_success,
-        hull=closed_hull(means),
-        samples=primary[:, keep, :] if sc.keep_samples else None,
-        randomized=companion,
-    )
+        return result("recip-closed-form", primary)
+    if isinstance(sc.budget, SumPower):
+        return result("nonrecip-sdr-bisection", primary)
+    return result("nonrecip-sdr-relaxed", primary, result("nonrecip-sdr-randomized", secondary))
 
 
 def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

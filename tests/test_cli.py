@@ -126,6 +126,26 @@ class TestScenarioParsing:
         assert out.rand_candidates == 50
         assert out.grid.tolist() == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            ({"seed": 99}, {"seed": 99}),
+            ({"realizations": 5, "grid_step": 0.5}, {"realizations": 5, "grid": [0, 0.5, 1]}),
+            ({"epsilon": 1e-3}, {"epsilon_bits": 1e-3}),
+            ({"rand_candidates": 50}, {"rand_candidates": 50}),
+            ({"seed": None, "realizations": None}, {}),
+        ],
+        ids=["seed", "realizations-grid", "epsilon", "rand-candidates", "none"],
+    )
+    def test_partial_overrides_keep_other_fields(self, flags, changed):
+        import argparse
+
+        sc = scenario_from_dict({**BASE_DOC, "epsilon_bits": 2e-4, "rand_candidates": 30})
+        out = _apply_overrides(sc, argparse.Namespace(**flags))
+        for name in ("seed", "realizations", "epsilon_bits", "rand_candidates", "grid"):
+            assert np.array_equal(getattr(out, name), changed.get(name, getattr(sc, name))), name
+        assert out.params is sc.params and out.budget is sc.budget
+
     def test_bad_override_is_a_flags_error(self):
         import argparse
 
@@ -159,6 +179,47 @@ class TestExitCodes:
         path = scenario_file(tmp_path, reciprocal=False)
         assert main(["solve", path, "--mu", "0.5"]) == 2
         assert "--kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reciprocal, flags",
+        [
+            (True, []),
+            (True, ["--kappa", "0.5"]),
+            (True, ["--mu", "0.5", "--kappa", "0.5"]),
+            (False, []),
+            (False, ["--mu", "0.5"]),
+            (False, ["--mu", "0.5", "--kappa", "0.5"]),
+        ],
+        ids=["recip-none", "recip-kappa", "recip-both", "nonrecip-none", "nonrecip-mu", "both"],
+    )
+    def test_wrong_weight_flags_exit_two(self, tmp_path, capsys, reciprocal, flags):
+        path = scenario_file(tmp_path, reciprocal=reciprocal)
+        assert main(["solve", path, *flags]) == 2
+        captured = capsys.readouterr()
+        if reciprocal:
+            assert captured.err == "error: reciprocal scenarios take --mu, not --kappa\n"
+        else:
+            assert captured.err == "error: non-reciprocal scenarios take --kappa, not --mu\n"
+        assert captured.out == ""
+
+    def test_negative_realization_seed_is_a_flags_error(self, tmp_path, capsys):
+        path = scenario_file(tmp_path)
+        assert main(["solve", path, "--mu", "0.5", "--realization-seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: scenario field 'flags':" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channel_variance", "x"), ("epsilon_bits", True), ("rand_candidates", 2.5)],
+    )
+    def test_malformed_optional_field_exits_two_naming_it(
+        self, tmp_path, capsys, field, value
+    ):
+        path = scenario_file(tmp_path, **{field: value})
+        assert main(["region", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: scenario field '{field}':" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_weight_outside_unit_interval_exits_two(self, tmp_path, capsys):
         path = scenario_file(tmp_path)

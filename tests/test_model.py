@@ -125,6 +125,35 @@ class TestValidation:
         with pytest.raises(DomainError):
             IndividualPower(p=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["p_s1", "p_s2", "sigma_s1_sq", "sigma_s2_sq"])
+    def test_each_system_scalar_checked_by_name(self, name, value):
+        fields = {"p_s1": 1.0, "p_s2": 1.0, "sigma_s1_sq": 1.0, "sigma_s2_sq": 1.0}
+        with pytest.raises(DomainError, match=f"^{name} must be finite and strictly positive$"):
+            SystemParams(sigma_relay=np.ones(2), **{**fields, name: value})
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            ([], DimensionMismatchError, "w must be a non-empty 1-D vector"),
+            (np.ones((2, 2)), DimensionMismatchError, "w must be a non-empty 1-D vector"),
+            ([1.0, np.nan], DomainError, "w must contain only finite entries"),
+        ],
+        ids=["empty", "2-d", "nan"],
+    )
+    def test_beamformer_rejects_bad_vectors(self, value, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Beamformer(value)
+
+    def test_beamformer_keeps_a_readonly_copy(self):
+        source = np.array([1.0 + 2.0j, -0.5j])
+        bf = Beamformer(source)
+        assert bf.w.dtype == np.complex128
+        assert not bf.w.flags.writeable
+        assert not np.shares_memory(bf.w, source)
+        source[0] = 0.0
+        assert bf.w.tolist() == [1.0 + 2.0j, -0.5j]
+
     def test_reciprocal_flag(self):
         rng = np.random.default_rng(0)
         ch = draw_reciprocal(rng, 3)
