@@ -577,6 +577,8 @@ _SUITES["all"] = [pair for name in ("recip", "nonrecip", "sdp", "region") for pa
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ScenarioError("flags", "seed must be nonnegative")
     checks = []
     for name, check in _SUITES[args.suite]:
         passed, details = check(args.seed)

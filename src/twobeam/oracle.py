@@ -58,6 +58,28 @@ def _rate_arrays(ch: ChannelSet, sp: SystemParams, w_rows: np.ndarray) -> tuple[
     return 0.5 * np.log2(1.0 + s1), 0.5 * np.log2(1.0 + s2)
 
 
+def _inverse_snr_sum(ch: ChannelSet, sp: SystemParams, mu: float, mags):
+    """Weighted inverse-SNR sum for one magnitude array per relay.
+
+    The arrays broadcast against each other, so a grid search lays each
+    relay's magnitudes along the grid axes they depend on and gets the
+    objective on the whole grid at once. Zero-signal entries give ``inf``.
+    """
+    terms = zip(np.abs(ch.h1), np.abs(ch.h2), sp.sigma_relay, mags, strict=True)
+    amp, n1, n2 = 0.0, sp.sigma_s1_sq, sp.sigma_s2_sq
+    for a1, a2, s, x in terms:
+        amp = amp + a1 * a2 * x
+        n1 = n1 + a1**2 * s * x**2
+        n2 = n2 + a2**2 * s * x**2
+    sig, obj = amp**2, 0.0
+    with np.errstate(divide="ignore"):
+        if mu > 0.0:
+            obj = obj + mu * n1 / (sp.p_s2 * sig)
+        if mu < 1.0:
+            obj = obj + (1.0 - mu) * n2 / (sp.p_s1 * sig)
+    return obj
+
+
 def wsis_objective(ch: ChannelSet, sp: SystemParams, mu: float, x: np.ndarray) -> float:
     """Weighted sum of inverse SNRs for matched-phase magnitudes ``x``.
 
@@ -65,32 +87,7 @@ def wsis_objective(ch: ChannelSet, sp: SystemParams, mu: float, x: np.ndarray) -
     depend only on the magnitudes, which is what the grid searches sweep.
     Returns ``inf`` when a weighted direction has zero SNR.
     """
-    x = np.asarray(x, dtype=np.float64)
-    fh = np.abs(ch.h1) * np.abs(ch.h2)
-    sig = float(np.dot(fh, x)) ** 2
-    n1 = sp.sigma_s1_sq + float(np.dot(np.abs(ch.h1) ** 2 * sp.sigma_relay, x**2))
-    n2 = sp.sigma_s2_sq + float(np.dot(np.abs(ch.h2) ** 2 * sp.sigma_relay, x**2))
-    obj = 0.0
-    if mu > 0.0:
-        obj += np.inf if sig == 0.0 else mu * n1 / (sp.p_s2 * sig)
-    if mu < 1.0:
-        obj += np.inf if sig == 0.0 else (1.0 - mu) * n2 / (sp.p_s1 * sig)
-    return float(obj)
-
-
-def _sphere_sector(angles: list[np.ndarray]) -> np.ndarray:
-    """Unit vectors with non-negative entries from angles in [0, pi/2]."""
-    grids = np.meshgrid(*angles, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    n = flat[0].size if flat else 1
-    k = len(flat) + 1
-    out = np.empty((n, k))
-    running = np.ones(n)
-    for j, theta in enumerate(flat):
-        out[:, j] = running * np.cos(theta)
-        running = running * np.sin(theta)
-    out[:, k - 1] = running
-    return out
+    return float(_inverse_snr_sum(ch, sp, mu, np.asarray(x, dtype=np.float64)))
 
 
 def best_wsis_grid(
@@ -106,8 +103,10 @@ def best_wsis_grid(
     Sum budgets sweep the full-power surface {x >= 0 : x^T D x = P_R} via a
     spherical-angle grid with ``resolution`` points per angle; individual
     budgets sweep the box alpha in [0,1]^K with ``resolution + 1`` points per
-    axis. Returns ``(objective, x)``; with ``return_gap`` also returns the
-    largest objective change between adjacent grid nodes, an empirical
+    axis. Each relay's magnitudes lie along the grid axes they depend on and
+    the objective is summed along those axes by broadcasting, without a list
+    of nodes. Returns ``(objective, x)``; with ``return_gap`` also returns
+    the largest objective change between adjacent grid nodes, an empirical
     Lipschitz-step estimate of how far below the grid optimum the continuum
     optimum can lie.
     """
@@ -118,43 +117,29 @@ def best_wsis_grid(
         raise DomainError("grid oracle supports K <= 4; use random_beamformer_cloud instead")
     d = _d_vector(ch, sp)
     if isinstance(budget, SumPower):
-        if k == 1:
-            xs = np.array([[np.sqrt(budget.p_r / d[0])]])
-        else:
-            axes = [np.linspace(0.0, np.pi / 2.0, resolution)] * (k - 1)
-            s = _sphere_sector(axes)
-            xs = np.sqrt(budget.p_r) * s / np.sqrt(d)
-        shape = (1,) if k == 1 else (resolution,) * (k - 1)
+        # Angle j lies on axis j; relay j takes the sines of the angles
+        # before it and the cosine of its own, the last relay only sines.
+        theta = np.linspace(0.0, np.pi / 2.0, resolution)
+        unit, running = [], np.ones(())
+        for j in range(k - 1):
+            axis = theta.reshape((-1,) + (1,) * (k - 2 - j))
+            unit.append(running * np.cos(axis))
+            running = running * np.sin(axis)
+        mags = [np.sqrt(budget.p_r) * u / np.sqrt(dj) for u, dj in zip(unit + [running], d)]
     else:
-        axes = [np.linspace(0.0, 1.0, resolution + 1)] * k
-        grids = np.meshgrid(*axes, indexing="ij")
-        alphas = np.stack([g.ravel() for g in grids], axis=1)
-        xs = alphas * np.sqrt(budget.p / d)
-        shape = (resolution + 1,) * k
-
-    fh = np.abs(ch.h1) * np.abs(ch.h2)
-    sig = (xs @ fh) ** 2
-    n1 = sp.sigma_s1_sq + xs**2 @ (np.abs(ch.h1) ** 2 * sp.sigma_relay)
-    n2 = sp.sigma_s2_sq + xs**2 @ (np.abs(ch.h2) ** 2 * sp.sigma_relay)
-    with np.errstate(divide="ignore"):
-        obj = np.zeros(xs.shape[0])
-        if mu > 0.0:
-            obj += mu * n1 / (sp.p_s2 * sig)
-        if mu < 1.0:
-            obj += (1.0 - mu) * n2 / (sp.p_s1 * sig)
-    best = int(np.argmin(obj))
+        alpha = np.linspace(0.0, 1.0, resolution + 1)
+        caps = np.sqrt(budget.p / d)
+        mags = [alpha.reshape((-1,) + (1,) * (k - 1 - j)) * c for j, c in enumerate(caps)]
+    obj = np.asarray(_inverse_snr_sum(ch, sp, mu, mags))
+    best = np.unravel_index(int(np.argmin(obj)), obj.shape)
+    x = np.array([np.broadcast_to(m, obj.shape)[best] for m in mags])
     if not return_gap:
-        return float(obj[best]), xs[best].copy()
-    cube = obj.reshape(shape)
+        return float(obj[best]), x
     gap = 0.0
-    for axis in range(cube.ndim):
-        if cube.shape[axis] < 2:
-            continue
-        diffs = np.abs(np.diff(cube, axis=axis))
-        finite = diffs[np.isfinite(diffs)]
-        if finite.size:
-            gap = max(gap, float(finite.max()))
-    return float(obj[best]), xs[best].copy(), gap
+    for axis in range(obj.ndim):
+        diffs = np.abs(np.diff(obj, axis=axis))
+        gap = max(gap, float(diffs[np.isfinite(diffs)].max(initial=0.0)))
+    return float(obj[best]), x, gap
 
 
 def random_beamformer_cloud(

@@ -5,21 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from twobeam.model import ChannelSet, SystemParams
+from twobeam.region import draw_channels
 
 
 def draw_reciprocal(rng: np.random.Generator, k: int, var: float = 1.0) -> ChannelSet:
-    scale = np.sqrt(var / 2.0)
-    h1 = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    h2 = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    return ChannelSet.from_reciprocal(h1, h2)
+    return draw_channels(rng, k, reciprocal=True, variance=var)
 
 
 def draw_nonreciprocal(rng: np.random.Generator, k: int, var: float = 1.0) -> ChannelSet:
-    scale = np.sqrt(var / 2.0)
-    draws = [
-        scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(4)
-    ]
-    return ChannelSet(h1=draws[0], h2=draws[1], h1r=draws[2], h2r=draws[3])
+    return draw_channels(rng, k, reciprocal=False, variance=var)
 
 
 def unit_params(k: int, sigma_relay: float | np.ndarray = 1.0) -> SystemParams:

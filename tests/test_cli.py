@@ -71,6 +71,10 @@ class TestScenarioParsing:
         assert sc.epsilon_bits == 1e-4
         assert sc.rand_candidates == 1000
 
+    def test_unknown_optional_fields_ignored(self):
+        sc = scenario_from_dict({**BASE_DOC, "comment": "sweep", "extra": {"a": [1]}})
+        assert scenario_to_dict(sc) == scenario_to_dict(scenario_from_dict(BASE_DOC))
+
     def test_individual_budget_parsed(self):
         sc = scenario_from_dict(
             {**BASE_DOC, "budget": {"kind": "individual", "p_watts": [2.0, 1.5]}}
@@ -209,6 +213,13 @@ class TestExitCodes:
         assert "error: scenario field 'flags':" in captured.err
         assert captured.out == ""
 
+    def test_negative_validate_seed_is_a_flags_error(self, tmp_path, capsys):
+        assert main(["validate", "all", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario field 'flags': seed must be nonnegative\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("channel_variance", "x"), ("epsilon_bits", True), ("rand_candidates", 2.5)],
@@ -270,6 +281,7 @@ class TestExitCodes:
                 id="budget-negative",
             ),
             pytest.param(json.dumps({**BASE_DOC, "grid": {"step": 0.3}}), "grid.step", id="grid"),
+            pytest.param(json.dumps({**BASE_DOC, "grid": {}}), "grid", id="grid-empty"),
             pytest.param("{", "file", id="file"),
             pytest.param(
                 json.dumps({**BASE_DOC, "budget": {"kind": "individual"}}),

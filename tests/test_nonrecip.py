@@ -47,7 +47,7 @@ from helpers import draw_nonreciprocal, draw_reciprocal, unit_params
 SHIPPED_SUM = Path(__file__).resolve().parents[1] / "scenarios" / "nonreciprocal-sum.json"
 
 
-class TestRateProfile:
+class TestKappaSplit:
     def test_range_validation(self):
         rates = RatePair(1.0, 1.0)
         for kappa in (-0.1, 1.1, float("nan")):
@@ -63,7 +63,7 @@ class TestRateProfile:
         assert np.log2(1.0 + gamma1) + np.log2(1.0 + gamma2) == pytest.approx(2.0)
 
 
-class TestBisectionConfig:
+class TestBisectionGap:
     """The bisection gap epsilon, the one stopping control a caller sets."""
 
     def test_validation(self):

@@ -1,6 +1,7 @@
 """The brute-force checkers themselves, plus the independence rule they live by."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import twobeam.oracle as oracle_module
 from twobeam.errors import DomainError, ReciprocityError
-from twobeam.model import IndividualPower, SumPower
+from twobeam.model import IndividualPower, SumPower, SystemParams
 from twobeam.oracle import (
     best_wsis_grid,
     feasibility_descent,
@@ -88,6 +89,51 @@ class TestWsisGrid:
             best_wsis_grid(draw_nonreciprocal(rng, 2), unit_params(2), SumPower(p_r=1.0), 0.5, 5)
         with pytest.raises(DomainError):
             best_wsis_grid(draw_reciprocal(rng, 5), unit_params(5), SumPower(p_r=1.0), 0.5, 5)
+
+
+def _enumerated_grid(ch, sp, budget, mu, resolution):
+    """Every grid node by explicit enumeration, scored one at a time."""
+    d = np.abs(ch.h1) ** 2 * sp.p_s1 + np.abs(ch.h2) ** 2 * sp.p_s2 + sp.sigma_relay
+    k = ch.k
+    if isinstance(budget, SumPower):
+        theta = np.linspace(0.0, np.pi / 2.0, resolution)
+        shape = (resolution,) * (k - 1)
+        nodes = []
+        for angles in itertools.product(theta, repeat=k - 1):
+            unit, running = [], 1.0
+            for a in angles:
+                unit.append(running * np.cos(a))
+                running *= np.sin(a)
+            nodes.append(np.sqrt(budget.p_r / d) * np.array(unit + [running]))
+    else:
+        alpha = np.linspace(0.0, 1.0, resolution + 1)
+        shape = (resolution + 1,) * k
+        nodes = [np.array(a) * np.sqrt(budget.p / d) for a in itertools.product(alpha, repeat=k)]
+    objs = np.array([wsis_objective(ch, sp, mu, x) for x in nodes]).reshape(shape)
+    return np.array(nodes), objs
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "kind, k", [("sum", 1), ("sum", 2), ("sum", 3), ("sum", 4), ("box", 1), ("box", 2), ("box", 3)]
+)
+def test_grid_search_matches_enumeration(kind, k, mu):
+    rng = np.random.default_rng(100 + k)
+    ch = draw_reciprocal(rng, k)
+    sp = SystemParams(
+        p_s1=1.5, p_s2=0.7, sigma_relay=rng.uniform(0.5, 2.0, k), sigma_s1_sq=0.8, sigma_s2_sq=1.3
+    )
+    budget = SumPower(p_r=6.0) if kind == "sum" else IndividualPower(p=rng.uniform(0.5, 3.0, k))
+    resolution = 5 + k % 3
+    nodes, objs = _enumerated_grid(ch, sp, budget, mu, resolution)
+    obj, x, gap = best_wsis_grid(ch, sp, budget, mu, resolution, return_gap=True)
+    assert obj == pytest.approx(objs.min(), rel=1e-12)
+    assert np.any(np.all(np.isclose(nodes, x, rtol=1e-12, atol=0.0), axis=1))
+    assert wsis_objective(ch, sp, mu, x) == pytest.approx(objs.min(), rel=1e-12)
+    steps = [np.abs(np.diff(objs, axis=axis)) for axis in range(objs.ndim)]
+    finite = [s[np.isfinite(s)] for s in steps]
+    expected_gap = max((float(f.max()) for f in finite if f.size), default=0.0)
+    assert gap == pytest.approx(expected_gap, rel=1e-12)
 
 
 class TestCloud:

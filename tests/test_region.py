@@ -25,6 +25,7 @@ from twobeam.region import (
     RegionResult,
     Scenario,
     build_region,
+    closed_hull,
     convex_hull,
     default_grid,
     region_contains,
@@ -52,12 +53,6 @@ def unit_scenario(k, budget, *, reciprocal=True, grid=None, realizations=1, seed
         seed=seed,
         **kw,
     )
-
-
-def closed_hull(points):
-    pts = np.asarray(points, dtype=np.float64)
-    anchors = np.array([[0.0, pts[:, 1].max()], [pts[:, 0].max(), 0.0]])
-    return convex_hull(np.vstack([pts, anchors]))
 
 
 def chain_region(hull):
@@ -212,7 +207,7 @@ class TestBuildRegionReciprocal:
             r = rate_pair(ch, sc.params, sum_power_beamformer(ch, sol))
             pts.append([r.r1, r.r2])
         np.testing.assert_array_equal(res.means, np.array(pts))
-        np.testing.assert_array_equal(res.hull, closed_hull(pts))
+        np.testing.assert_array_equal(res.hull, closed_hull(np.array(pts)))
         assert res.solver == "recip-closed-form"
         assert res.randomized is None
 
