@@ -64,3 +64,5 @@ run flags-grid-step region "$recip" --grid-step 0.3 --out "$out/flags-grid-step"
 run flags-realizations region "$recip" --realizations 0 --out "$out/flags-realizations"
 run flags-seed region "$recip" --seed -1 --out "$out/flags-seed"
 run flags-validate-seed validate all --seed -1 --out "$out/flags-validate-seed"
+run flags-out-file region "$recip" --out "$out/flags-seed.code"
+run flags-validate-out-file validate all --out "$out/flags-seed.code"

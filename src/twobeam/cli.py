@@ -207,8 +207,19 @@ def _apply_overrides(sc: Scenario, args: argparse.Namespace) -> Scenario:
         raise ScenarioError("flags", str(exc)) from exc
 
 
+def _out_dir(value: str) -> Path:
+    """The ``--out`` directory, rejected before any work when it is, or lies
+    under, an existing non-directory."""
+    out = Path(value)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ScenarioError("flags", f"--out: {part} exists and is not a directory")
+    return out
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
+    out = _out_dir(args.out)
     try:
         res = build_region(sc)
     except SolverError as exc:
@@ -223,7 +234,6 @@ def cmd_region(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     wrote = [out / "region.csv", out / "region.json"]
     wrote[0].write_text(region_csv_text(res))
@@ -579,6 +589,7 @@ _SUITES["all"] = [pair for name in ("recip", "nonrecip", "sdp", "region") for pa
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ScenarioError("flags", "seed must be nonnegative")
+    out = _out_dir(args.out)
     checks = []
     for name, check in _SUITES[args.suite]:
         passed, details = check(args.seed)
@@ -591,7 +602,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "passed": passed,
         "checks": checks,
     }
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"validation_{args.suite}.json"
     path.write_text(json.dumps(report, indent=2, default=float) + "\n")

@@ -10,16 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .model import (
-    Beamformer,
-    ChannelSet,
-    IndividualPower,
-    PowerBudget,
-    SumPower,
-    SystemParams,
-    noise_matrices,
-)
+from .model import Beamformer, ChannelSet, IndividualPower, PowerBudget, SumPower, SystemParams
+from .model import _relay_caps, noise_matrices
 from .recip import matched_phases
 
 
@@ -27,9 +19,7 @@ def _budget_magnitudes(d: np.ndarray, budget: PowerBudget) -> np.ndarray:
     # Equal split of a sum budget, full caps for individual budgets.
     if isinstance(budget, SumPower):
         return np.sqrt(budget.p_r / (d.size * d))
-    if budget.k != d.size:
-        raise DimensionMismatchError("per-relay caps must have one entry per relay")
-    return np.sqrt(budget.p / d)
+    return np.sqrt(_relay_caps(budget.p, d.size) / d)
 
 
 def equal_power_bf(ch: ChannelSet, sp: SystemParams, p_r: float) -> Beamformer:

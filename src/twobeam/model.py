@@ -18,6 +18,7 @@ use and include the factor 1/2 for the two-slot protocol. Complex values are
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,26 +44,33 @@ __all__ = [
 ]
 
 
+# The vector checkers run on every solve: ndarray methods skip the dispatch
+# cost of np.all/np.any, and np.array makes the private copy in one step.
 def _as_complex_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.complex128)
+    arr = np.array(value, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatchError(f"{name} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must contain only finite entries")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 def _as_positive_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+    arr = np.array(value, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatchError(f"{name} must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise DomainError(f"{name} entries must be finite and strictly positive")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _relay_caps(value, k: int) -> np.ndarray:
+    p = _as_positive_vector(value, "p")
+    if p.size != k:
+        raise DimensionMismatchError("p must have one entry per relay")
+    return p
 
 
 def _require_positive_scalar(value: float, name: str) -> float:
@@ -70,6 +78,23 @@ def _require_positive_scalar(value: float, name: str) -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be finite and strictly positive")
     return value
+
+
+def _require_weight(value: float, name: str) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1]")
+    return value
+
+
+def _require_count(value, name: str, low: int) -> int:
+    # Python and numpy integers only: int() would truncate 2.7 and parse "3".
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer")
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise DomainError(f"{name} must be {bound}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .model import (
-    Beamformer,
-    ChannelSet,
-    IndividualPower,
-    PowerBudget,
-    RatePair,
-    SumPower,
-    SystemParams,
-    noise_matrices,
-    rate_pair,
-)
+from .model import Beamformer, ChannelSet, IndividualPower, PowerBudget, RatePair, SumPower
+from .model import SystemParams, _relay_caps, _require_count, _require_positive_scalar
+from .model import _require_weight, noise_matrices, rate_pair
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -78,10 +70,18 @@ class RankOneResult:
 
 def _split(kappa: float) -> tuple[float, float]:
     """The profile (kappa, 1 - kappa); kappa must lie in [0, 1]."""
-    kappa = float(kappa)
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError("kappa must lie in [0, 1]")
+    kappa = _require_weight(kappa, "kappa")
     return kappa, 1.0 - kappa
+
+
+def _witness(x_opt: np.ndarray, k: int) -> np.ndarray:
+    """``x_opt`` as a finite complex K-by-K matrix."""
+    x = np.asarray(x_opt, dtype=np.complex128)
+    if x.shape != (k, k):
+        raise DomainError("x_opt must be K-by-K for the channel's K")
+    if not np.isfinite(x).all():
+        raise DomainError("x_opt must contain only finite entries")
+    return x
 
 
 def profile_rate(rates: RatePair, kappa: float) -> float:
@@ -206,15 +206,12 @@ def _bisect_profile(
     meets the budget. Raises SolverError when a step ends ``MAX_ITER``: that
     verdict certifies neither side of the bracket.
     """
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
+    epsilon = _require_positive_scalar(epsilon, "epsilon")
     d = noise_matrices(ch, sp).d
     if isinstance(budget, SumPower):
         rows, caps = ((-np.diag(d).astype(np.complex128), -budget.p_r),), None
     else:
-        if budget.k != ch.k:
-            raise DomainError("per-relay caps must have one entry per relay")
-        rows, caps = (), budget.p / d
+        rows, caps = (), _relay_caps(budget.p, ch.k) / d
     r_low, r_up = 0.0, r_max_bound(ch, sp, budget)
     x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
     for _ in range(_MAX_STEPS):
@@ -321,10 +318,8 @@ def rank_one_reduce(
     along one direction both SNRs rise with the scale, so that is the best
     beamformer on it within X's power, and it never spends more.
     """
-    x = np.asarray(x_opt, dtype=np.complex128)
     k = ch.k
-    if x.shape != (k, k):
-        raise DomainError("x_opt must be K-by-K for the channel's K")
+    x = _witness(x_opt, k)
     (b1, _), (b2, _) = snr_constraint_rows(ch, sp, gamma1, gamma2)
     d = noise_matrices(ch, sp).d
     mats = np.array([b1, b2, np.diag(d)])
@@ -383,12 +378,9 @@ def randomize_rank_one(
     winner minimizes the worst relative SNR-constraint shortfall; nonpositive
     best violation means both targets are met.
     """
-    if num_candidates < 1:
-        raise DomainError("num_candidates must be at least 1")
-    x = np.asarray(x_opt, dtype=np.complex128)
+    num_candidates = _require_count(num_candidates, "num_candidates", 1)
     k = ch.k
-    if x.shape != (k, k):
-        raise DomainError("x_opt must be K-by-K for the channel's K")
+    x = _witness(x_opt, k)
     nm = noise_matrices(ch, sp)
     mags = np.sqrt(np.maximum(np.real(np.diag(x)), 0.0))
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ReciprocityError
-from .model import Beamformer, ChannelSet, SystemParams, _power_diag
+from .errors import DomainError, ReciprocityError
+from .model import Beamformer, ChannelSet, SystemParams, _power_diag, _relay_caps
+from .model import _require_positive_scalar, _require_weight
 
 __all__ = [
     "SumPowerSolution",
@@ -42,18 +43,9 @@ def _require_reciprocal(ch: ChannelSet) -> None:
         raise ReciprocityError("closed-form solvers require reciprocal channels")
 
 
-def _require_weight(mu: float) -> float:
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0 or not np.isfinite(mu):
-        raise DomainError("mu must lie in [0, 1]")
-    return mu
-
-
 def _resolve_sigma(sp: SystemParams, sigma_i_sq: float | None) -> float:
     if sigma_i_sq is not None:
-        if sigma_i_sq <= 0.0:
-            raise DomainError("sigma_i_sq must be positive")
-        return float(sigma_i_sq)
+        return _require_positive_scalar(sigma_i_sq, "sigma_i_sq")
     first = float(sp.sigma_relay[0])
     if not np.all(sp.sigma_relay == first):
         raise DomainError(
@@ -132,9 +124,8 @@ def wsismin_sum_power(
     optimal beamformer for the remaining direction.
     """
     _require_reciprocal(ch)
-    mu = _require_weight(mu)
-    if not p_r > 0.0:
-        raise DomainError("p_r must be positive")
+    mu = _require_weight(mu, "mu")
+    p_r = _require_positive_scalar(p_r, "p_r")
     mu_bar = 1.0 - mu
     abs1_sq = np.abs(ch.h1) ** 2
     abs2_sq = np.abs(ch.h2) ** 2
@@ -172,9 +163,12 @@ def local_weight_sum(
     """One relay's weight from its own channels plus the broadcast scalar.
 
     ``sigma_i_sq`` may be omitted when all relays share the same noise power.
+    ``p_r``, ``mu`` and ``sigma_i_sq`` are checked as the centralized solver
+    checks them.
     """
     sig = _resolve_sigma(sp, sigma_i_sq)
-    mu = _require_weight(mu)
+    mu = _require_weight(mu, "mu")
+    p_r = _require_positive_scalar(p_r, "p_r")
     mu_bar = 1.0 - mu
     abs1_sq = np.abs(h1_i) ** 2
     abs2_sq = np.abs(h2_i) ** 2
@@ -216,12 +210,8 @@ def wsismin_individual(
     sorted pass.
     """
     _require_reciprocal(ch)
-    mu = _require_weight(mu)
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (ch.k,):
-        raise DimensionMismatchError("p must have one entry per relay")
-    if np.any(p <= 0.0) or not np.all(np.isfinite(p)):
-        raise DomainError("per-relay budgets must be positive and finite")
+    mu = _require_weight(mu, "mu")
+    p = _relay_caps(p, ch.k)
 
     g_tilde, psi_sq, phi = _individual_figures(ch, sp, p, mu)
     k = ch.k
@@ -273,9 +263,12 @@ def local_weight_indiv(
 
     A relay whose inverse figure of merit does not exceed the waterlevel
     transmits at its full budget; otherwise it backs off proportionally.
+    ``p_i``, ``mu`` and ``sigma_i_sq`` are checked as the centralized solver
+    checks them.
     """
     sig = _resolve_sigma(sp, sigma_i_sq)
-    mu = _require_weight(mu)
+    mu = _require_weight(mu, "mu")
+    p_i = _require_positive_scalar(p_i, "p_i")
     mu_bar = 1.0 - mu
     abs1_sq = np.abs(h1_i) ** 2
     abs2_sq = np.abs(h2_i) ** 2
@@ -311,6 +304,6 @@ def individual_power_beamformer(
     ch: ChannelSet, sp: SystemParams, p: np.ndarray, sol: IndividualPowerSolution
 ) -> Beamformer:
     """Materialize the complex beamformer from a per-relay-budget solution."""
-    p = np.asarray(p, dtype=np.float64)
+    p = _relay_caps(p, ch.k)
     d = _power_diag(ch, sp)
     return Beamformer(sol.alpha * np.sqrt(p / d) * np.exp(1j * matched_phases(ch)))

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
-from .model import (
-    ChannelSet,
-    IndividualPower,
-    PowerBudget,
-    SumPower,
-    SystemParams,
-    _require_positive_scalar,
-    rate_pair,
-)
+from .model import ChannelSet, IndividualPower, PowerBudget, SumPower, SystemParams
+from .model import _require_count, _require_positive_scalar, rate_pair
 from .nonrecip import (
     algorithm1_sum_power,
     algorithm2_individual,
@@ -94,20 +87,20 @@ class Scenario:
     keep_samples: bool = False
 
     def __post_init__(self) -> None:
-        k = int(self.k)
-        if k < 1:
-            raise DomainError("k must be at least 1")
-        object.__setattr__(self, "k", k)
-        if self.params.k != k:
+        for name, low in (("k", 1), ("realizations", 1), ("seed", 0), ("rand_candidates", 1)):
+            object.__setattr__(self, name, _require_count(getattr(self, name), name, low))
+        for name in ("channel_variance", "epsilon_bits"):
+            object.__setattr__(self, name, _require_positive_scalar(getattr(self, name), name))
+        if self.params.k != self.k:
             raise DimensionMismatchError(
-                f"params describe {self.params.k} relays, scenario says {k}"
+                f"params describe {self.params.k} relays, scenario says {self.k}"
             )
-        if isinstance(self.budget, IndividualPower) and self.budget.k != k:
+        if isinstance(self.budget, IndividualPower) and self.budget.k != self.k:
             raise DimensionMismatchError(
-                f"budget caps {self.budget.k} relays, scenario says {k}"
+                f"budget caps {self.budget.k} relays, scenario says {self.k}"
             )
         object.__setattr__(self, "reciprocal", bool(self.reciprocal))
-        if not self.reciprocal and k > MAX_DIMENSION:
+        if not self.reciprocal and self.k > MAX_DIMENSION:
             raise DomainError(f"k must be at most {MAX_DIMENSION} for non-reciprocal channels")
         grid = np.asarray(self.grid, dtype=np.float64).copy()
         if grid.ndim != 1 or grid.size == 0:
@@ -116,23 +109,6 @@ class Scenario:
             raise DomainError("grid values must lie in [0, 1]")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        realizations = int(self.realizations)
-        if realizations < 1:
-            raise DomainError("realizations must be at least 1")
-        object.__setattr__(self, "realizations", realizations)
-        seed = int(self.seed)
-        if seed < 0:
-            raise DomainError("seed must be nonnegative")
-        object.__setattr__(self, "seed", seed)
-        variance = _require_positive_scalar(self.channel_variance, "channel_variance")
-        object.__setattr__(self, "channel_variance", variance)
-        object.__setattr__(
-            self, "epsilon_bits", _require_positive_scalar(self.epsilon_bits, "epsilon_bits")
-        )
-        rand_candidates = int(self.rand_candidates)
-        if rand_candidates < 1:
-            raise DomainError("rand_candidates must be at least 1")
-        object.__setattr__(self, "rand_candidates", rand_candidates)
         object.__setattr__(self, "keep_samples", bool(self.keep_samples))
 
 
@@ -161,17 +137,15 @@ class RegionResult:
         grid = np.asarray(self.grid, dtype=np.float64)
         means = np.asarray(self.means, dtype=np.float64)
         n_success = np.asarray(self.n_success, dtype=np.int64)
-        hull = np.asarray(self.hull, dtype=np.float64)
+        hull = _as_points(self.hull, "hull")
         if grid.ndim != 1 or grid.size == 0:
             raise DimensionMismatchError("grid must be a non-empty 1-D vector")
         if means.shape != (grid.size, 2):
             raise DimensionMismatchError("means must be (len(grid), 2)")
         if n_success.shape != (grid.size,):
             raise DimensionMismatchError("n_success must align with grid")
-        if hull.ndim != 2 or hull.shape[1] != 2 or hull.shape[0] == 0:
-            raise DimensionMismatchError("hull must be a non-empty (h, 2) array")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(hull))):
-            raise DomainError("means and hull must be finite")
+        if not np.all(np.isfinite(means)):
+            raise DomainError("means must be finite")
         if np.any(n_success < 1):
             raise DomainError("every kept grid point needs at least one success")
         # The chain must run strictly right and down with convex corners.
@@ -215,7 +189,8 @@ def draw_channels(
     Reciprocal draws consume only the forward channels and mirror them
     backward; non-reciprocal draws take h1, h2, h1r, h2r in that order.
     """
-    scale = math.sqrt(variance / 2.0)
+    k = _require_count(k, "k", 1)
+    scale = math.sqrt(_require_positive_scalar(variance, "variance") / 2.0)
 
     def draw() -> np.ndarray:
         return scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
@@ -327,6 +302,15 @@ def _cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
 
 
+def _as_points(value, name: str) -> np.ndarray:
+    pts = np.asarray(value, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise DimensionMismatchError(f"{name} must be a non-empty (n, 2) array")
+    if not np.isfinite(pts).all():
+        raise DomainError(f"{name} must be finite")
+    return pts
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Upper-right Pareto hull of 2-D points as an ordered chain.
 
@@ -334,12 +318,7 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     and chord elimination (collinear interior points removed), sorted by
     increasing first coordinate. A single distinct point passes through.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise DimensionMismatchError("points must be a non-empty (n, 2) array")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("points must be finite")
-    pts = np.unique(pts, axis=0)
+    pts = np.unique(_as_points(points, "points"), axis=0)
     # Right-to-left scan keeps exactly the weakly undominated points: the
     # lexicographic sort puts ties in x before the scan reaches them.
     keep = np.zeros(pts.shape[0], dtype=bool)
@@ -364,10 +343,8 @@ def points_expansion(hull: np.ndarray, points: np.ndarray) -> float:
     slack t when (r1 - t, r2 - t) is the nearest member under equal per-axis
     expansion. Zero means all points already lie inside or on the chain.
     """
-    hull = np.asarray(hull, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise DimensionMismatchError("points must be a non-empty (n, 2) array")
+    hull = _as_points(hull, "hull")
+    pts = _as_points(points, "points")
     t = np.maximum(pts[:, 0] - hull[-1, 0], pts[:, 1] - hull[0, 1])
     if hull.shape[0] >= 2:
         a, b = hull[:-1], hull[1:]

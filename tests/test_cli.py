@@ -220,6 +220,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["region", "validate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_blocked_by_a_file_is_a_flags_error(self, tmp_path, capsys, command, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept")
+        args = [scenario_file(tmp_path)] if command == "region" else ["all"]
+        before = sorted(tmp_path.iterdir())
+        out = blocker / "sub" if below else blocker
+        assert main([command, *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: scenario field 'flags': --out: {blocker} exists and is not a directory\n"
+        )
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert blocker.read_text() == "kept"
+
     @pytest.mark.parametrize(
         "field, value",
         [("channel_variance", "x"), ("epsilon_bits", True), ("rand_candidates", 2.5)],

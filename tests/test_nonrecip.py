@@ -69,7 +69,7 @@ class TestBisectionGap:
     def test_validation(self):
         ch = draw_nonreciprocal(np.random.default_rng(37), 2)
         sp = unit_params(2)
-        for epsilon in (0.0, -1e-4):
+        for epsilon in (0.0, -1e-4, np.inf):
             with pytest.raises(DomainError):
                 algorithm1_sum_power(ch, sp, 10.0, 0.5, epsilon)
             with pytest.raises(DomainError):
@@ -320,6 +320,15 @@ class TestRankOneReduce:
         assert res.rates.r1 == pytest.approx(ref.r1, rel=1e-9)
         assert res.rates.r2 == pytest.approx(ref.r2, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_witness_rejected(self, bad):
+        rng = np.random.default_rng(44)
+        ch = draw_nonreciprocal(rng, 2)
+        x = np.eye(2, dtype=complex)
+        x[1, 1] = bad
+        with pytest.raises(DomainError, match="^x_opt must contain only finite entries$"):
+            rank_one_reduce(x, ch, unit_params(2), 1.0, 1.0)
+
     def test_zero_matrix_reduces_to_silence(self):
         rng = np.random.default_rng(42)
         ch = draw_nonreciprocal(rng, 2)
@@ -511,6 +520,23 @@ class TestRandomizeRankOne:
             randomize_rank_one(
                 np.eye(2, dtype=complex), ch, unit_params(2), 1.0, 1.0, num_candidates=0, seed=1
             )
+
+    @pytest.mark.parametrize("count", [2.5, "3", True])
+    def test_candidate_count_must_be_an_integer(self, count):
+        ch = draw_nonreciprocal(np.random.default_rng(65), 2)
+        with pytest.raises(DomainError, match="^num_candidates must be an integer$"):
+            randomize_rank_one(
+                np.eye(2, dtype=complex), ch, unit_params(2), 1.0, 1.0,
+                num_candidates=count, seed=1,
+            )
+
+    @pytest.mark.parametrize("row, col, bad", [(0, 0, np.nan), (0, 1, np.inf)])
+    def test_nonfinite_witness_rejected(self, row, col, bad):
+        ch = draw_nonreciprocal(np.random.default_rng(66), 2)
+        x = np.eye(2, dtype=complex)
+        x[row, col] = bad
+        with pytest.raises(DomainError, match="^x_opt must contain only finite entries$"):
+            randomize_rank_one(x, ch, unit_params(2), 1.0, 1.0, num_candidates=10, seed=1)
 
 
 EDGE_CASES = ["k1", "dead_relay", "h1_zero", "p_s_1e-6", "p_s_1e6"]

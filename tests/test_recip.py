@@ -180,6 +180,11 @@ class TestSumPower:
         with pytest.raises(ReciprocityError):
             wsismin_sum_power(draw_nonreciprocal(rng, 2), sp, 1.0, 0.5)
 
+    def test_infinite_budget_rejected(self):
+        ch = draw_reciprocal(np.random.default_rng(38), 2)
+        with pytest.raises(DomainError, match="^p_r must be finite and strictly positive$"):
+            wsismin_sum_power(ch, unit_params(2), np.inf, 0.5)
+
 
 class TestIndividualPower:
     def test_single_relay_full_power(self):
@@ -291,6 +296,38 @@ class TestIndividualPower:
             wsismin_individual(ch, sp, np.array([1.0]), 0.5)
         with pytest.raises(DomainError):
             wsismin_individual(ch, sp, np.array([1.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0])
+    def test_beamformer_checks_caps(self, cap):
+        rng = np.random.default_rng(47)
+        ch = draw_reciprocal(rng, 2)
+        sp = unit_params(2)
+        sol = wsismin_individual(ch, sp, np.ones(2), 0.5)
+        with pytest.raises(DomainError, match="^p entries must be finite and strictly positive$"):
+            individual_power_beamformer(ch, sp, np.array([1.0, cap]), sol)
+
+
+class TestLocalRuleScalars:
+    """Each local rule rejects the scalars its centralized solver rejects."""
+
+    @staticmethod
+    def call(rule, *, budget=2.0, sigma_i_sq=None):
+        ch = draw_reciprocal(np.random.default_rng(48), 2)
+        sp = unit_params(2)
+        local = local_weight_sum if rule == "sum" else local_weight_indiv
+        return local(ch.h1[0], ch.h2[0], sp, budget, 0.5, 1.0, sigma_i_sq)
+
+    @pytest.mark.parametrize("sigma_i_sq", [np.nan, np.inf])
+    @pytest.mark.parametrize("rule", ["sum", "indiv"])
+    def test_nonfinite_sigma_rejected(self, rule, sigma_i_sq):
+        with pytest.raises(DomainError, match="^sigma_i_sq must be finite and strictly positive$"):
+            self.call(rule, sigma_i_sq=sigma_i_sq)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("rule, name", [("sum", "p_r"), ("indiv", "p_i")])
+    def test_bad_budget_rejected(self, rule, name, budget):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and strictly positive$"):
+            self.call(rule, budget=budget)
 
 
 class TestSweepGeometry:

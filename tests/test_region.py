@@ -28,6 +28,8 @@ from twobeam.region import (
     closed_hull,
     convex_hull,
     default_grid,
+    draw_channels,
+    points_expansion,
     region_contains,
     region_csv_text,
     region_json_text,
@@ -116,8 +118,36 @@ class TestScenarioValidation:
         with pytest.raises(DomainError):
             unit_scenario(2, SumPower(10.0), rand_candidates=0)
 
+    @pytest.mark.parametrize("value", [2.7, 0.5, "3", True])
+    @pytest.mark.parametrize("field", ["k", "realizations", "seed", "rand_candidates"])
+    def test_counts_must_be_integers(self, field, value):
+        counts = {"k": 2, "realizations": 1, "seed": 0, "rand_candidates": 10}
+        with pytest.raises(DomainError, match=f"^{field} must be an integer$"):
+            Scenario(
+                params=unit_params(2), budget=SumPower(10.0), reciprocal=True,
+                grid=default_grid(0.5), **{**counts, field: value},
+            )
+
+    def test_numpy_integer_counts_accepted(self):
+        sc = unit_scenario(
+            np.int64(2), SumPower(10.0), realizations=np.int32(3), seed=np.uint64(4),
+            rand_candidates=np.int16(5),
+        )
+        assert (sc.k, sc.realizations, sc.seed, sc.rand_candidates) == (2, 3, 4, 5)
+        assert all(type(v) is int for v in (sc.k, sc.realizations, sc.seed, sc.rand_candidates))
+
 
 class TestSampleChannels:
+    @pytest.mark.parametrize(
+        "k, variance, message",
+        [(2.5, 1.0, "k must be an integer"), (0, 1.0, "k must be at least 1"),
+         (2, -1.0, "variance must be finite and strictly positive"),
+         (2, np.inf, "variance must be finite and strictly positive")],
+    )
+    def test_draw_checks_count_and_variance(self, k, variance, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            draw_channels(np.random.default_rng(0), k, True, variance)
+
     def test_same_seed_same_draw(self):
         sc = unit_scenario(4, SumPower(10.0), reciprocal=False)
         a = sample_channels(sc, 7)
@@ -193,6 +223,23 @@ class TestConvexHull:
             convex_hull(np.empty((0, 2)))
         with pytest.raises(DomainError):
             convex_hull(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "hull, error",
+        [
+            (np.zeros((0, 2)), DimensionMismatchError),
+            (np.zeros(2), DimensionMismatchError),
+            (np.array([[np.nan, 1.0], [1.0, 0.0]]), DomainError),
+        ],
+        ids=["empty", "1-d", "nan"],
+    )
+    def test_points_expansion_checks_hull(self, hull, error):
+        with pytest.raises(error, match="^hull must"):
+            points_expansion(hull, np.array([[0.5, 0.5]]))
+
+    def test_points_expansion_rejects_nonfinite_points(self):
+        with pytest.raises(DomainError, match="^points must be finite$"):
+            points_expansion(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[np.nan, 0.5]]))
 
 
 class TestBuildRegionReciprocal:
