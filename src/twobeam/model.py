@@ -300,13 +300,11 @@ def map_u(t1: float, t2: float) -> RatePair:
     componentwise order, so minimizing weighted inverse SNRs traces the same
     boundary as maximizing rates.
     """
-    if not (t1 > 0.0 and t2 > 0.0) or not (math.isfinite(t1) and math.isfinite(t2)):
-        raise DomainError("map_u requires strictly positive finite inverse SNRs")
+    t1, t2 = _require_positive_scalar(t1, "t1"), _require_positive_scalar(t2, "t2")
     return RatePair(r1=0.5 * math.log2(1.0 + 1.0 / t1), r2=0.5 * math.log2(1.0 + 1.0 / t2))
 
 
 def map_u_inverse(r1: float, r2: float) -> tuple[float, float]:
     """Inverse of :func:`map_u`; requires strictly positive rates."""
-    if not (r1 > 0.0 and r2 > 0.0) or not (math.isfinite(r1) and math.isfinite(r2)):
-        raise DomainError("map_u_inverse requires strictly positive finite rates")
+    r1, r2 = _require_positive_scalar(r1, "r1"), _require_positive_scalar(r2, "r2")
     return (1.0 / (2.0 ** (2.0 * r1) - 1.0), 1.0 / (2.0 ** (2.0 * r2) - 1.0))

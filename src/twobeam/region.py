@@ -137,7 +137,7 @@ class RegionResult:
         grid = np.asarray(self.grid, dtype=np.float64)
         means = np.asarray(self.means, dtype=np.float64)
         n_success = np.asarray(self.n_success, dtype=np.int64)
-        hull = _as_points(self.hull, "hull")
+        hull = _as_chain(self.hull)
         if grid.ndim != 1 or grid.size == 0:
             raise DimensionMismatchError("grid must be a non-empty 1-D vector")
         if means.shape != (grid.size, 2):
@@ -148,14 +148,6 @@ class RegionResult:
             raise DomainError("means must be finite")
         if np.any(n_success < 1):
             raise DomainError("every kept grid point needs at least one success")
-        # The chain must run strictly right and down with convex corners.
-        if hull.shape[0] >= 2 and not (
-            np.all(np.diff(hull[:, 0]) > 0.0) and np.all(np.diff(hull[:, 1]) < 0.0)
-        ):
-            raise DomainError("hull must decrease in r2 as r1 increases")
-        for i in range(hull.shape[0] - 2):
-            if _cross(hull[i], hull[i + 1], hull[i + 2]) >= 0.0:
-                raise DomainError("hull corners must be strictly convex")
         for name, arr in (("grid", grid), ("means", means), ("n_success", n_success), ("hull", hull)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -238,6 +230,7 @@ def _boundary_point(
 
 def closed_hull(points: np.ndarray) -> np.ndarray:
     """Convex hull of rate pairs, closed at both axes by time sharing with silence."""
+    points = _as_points(points, "points")
     anchors = np.array([[0.0, points[:, 1].max()], [points[:, 0].max(), 0.0]])
     return convex_hull(np.vstack([points, anchors]))
 
@@ -311,6 +304,17 @@ def _as_points(value, name: str) -> np.ndarray:
     return pts
 
 
+def _as_chain(value) -> np.ndarray:
+    """A hull: points running strictly right and down with strictly convex corners."""
+    hull = _as_points(value, "hull")
+    step = np.diff(hull, axis=0)
+    if not ((step[:, 0] > 0.0).all() and (step[:, 1] < 0.0).all()):
+        raise DomainError("hull must decrease in r2 as r1 increases")
+    if any(_cross(*hull[i : i + 3]) >= 0.0 for i in range(hull.shape[0] - 2)):
+        raise DomainError("hull must have strictly convex corners")
+    return hull
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Upper-right Pareto hull of 2-D points as an ordered chain.
 
@@ -343,7 +347,7 @@ def points_expansion(hull: np.ndarray, points: np.ndarray) -> float:
     slack t when (r1 - t, r2 - t) is the nearest member under equal per-axis
     expansion. Zero means all points already lie inside or on the chain.
     """
-    hull = _as_points(hull, "hull")
+    hull = _as_chain(hull)
     pts = _as_points(points, "points")
     t = np.maximum(pts[:, 0] - hull[-1, 0], pts[:, 1] - hull[0, 1])
     if hull.shape[0] >= 2:

@@ -15,8 +15,9 @@ constraints and optional diagonal caps. Problems are tiny (K rarely above
 * every inequality row carries its own dedicated slack, making that
   matrix symmetric positive definite by construction;
 * the search direction is a Mehrotra predictor-corrector step under
-  Nesterov-Todd scaling, computed from the Cholesky factors of X and Z and
-  one SVD, which makes both scaled iterates the same diagonal matrix.
+  Nesterov-Todd scaling from the Cholesky factors of X and Z and one SVD;
+  that scaling also supplies the inverse factors used for step lengths,
+  and the Schur matrix is factored once per iteration, for both steps.
 
 Feasibility questions are answered by maximizing how far all relaxable
 constraints can be pushed past their bounds simultaneously, which is a
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
+from .model import _require_count
 
 __all__ = [
     "FEASIBILITY",
@@ -87,7 +89,8 @@ class SdpProblem:
     caps: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dimension <= MAX_DIMENSION:
+        object.__setattr__(self, "dimension", _require_count(self.dimension, "dimension", 1))
+        if self.dimension > MAX_DIMENSION:
             raise DomainError(f"dimension must lie in [1, {MAX_DIMENSION}]")
         if self.objective is not None:
             obj = _check_hermitian(self.objective, "objective")
@@ -149,15 +152,15 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _finite(*arrays: np.ndarray) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _rel_gap(p_obj: float, d_obj: float) -> float:
     return abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
 
 
-def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A factor F with A = F F^H, and its inverse.
+def _factor(a: np.ndarray) -> np.ndarray:
+    """A factor F with A = F F^H.
 
     Cholesky, except near the cone boundary where roundoff can make it
     fail; there the eigendecomposition gives a square-root factor instead.
@@ -167,7 +170,7 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(a)
         f = vecs * np.sqrt(np.maximum(vals, 1e-300))
-    return f, np.linalg.inv(f)
+    return f
 
 
 def _max_step_psd(f_inv: np.ndarray, d: np.ndarray) -> float:
@@ -178,9 +181,7 @@ def _max_step_psd(f_inv: np.ndarray, d: np.ndarray) -> float:
 
 def _max_step_lin(u: np.ndarray, du: np.ndarray) -> float:
     neg = du < 0.0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(u[neg] / (-du[neg])))
+    return float((u[neg] / (-du[neg])).min(initial=np.inf))
 
 
 def _row_values(mats: np.ndarray, cap_coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -190,17 +191,17 @@ def _row_values(mats: np.ndarray, cap_coef: np.ndarray, x: np.ndarray) -> np.nda
     return 2.0 * np.concatenate([(flat @ x.ravel()).real, cap_coef * diag])
 
 
-def _chol_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _schur_solver(m: np.ndarray):
+    """Solves m y = rhs with one inverted Cholesky factor, jittered if needed, else lstsq."""
     jitter = 0.0
     base = float(np.trace(m)) / max(1, m.shape[0])
     for _ in range(4):
         try:
-            cf = np.linalg.cholesky(m + jitter * np.eye(m.shape[0]))
-            y = np.linalg.solve(cf, rhs)
-            return np.linalg.solve(cf.T, y)
+            cf_inv = np.linalg.inv(np.linalg.cholesky(m + jitter * np.eye(m.shape[0])))
+            return lambda rhs: cf_inv.T @ (cf_inv @ rhs)
         except np.linalg.LinAlgError:
             jitter = max(base * 1e-14, jitter * 100.0, 1e-300)
-    return np.linalg.lstsq(m, rhs, rcond=None)[0]
+    return lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]
 
 
 def _run_ipm(
@@ -272,10 +273,7 @@ def _run_ipm(
             d_obj = float(b @ y)
             rel_gap = _rel_gap(p_obj, d_obj)
             p_res = float(np.max(np.abs(r_p))) / b_scale if p else 0.0
-            d_res = max(
-                _norm(r_d_mat) / c_scale,
-                (float(np.max(np.abs(r_d_lin))) / c_scale) if m else 0.0,
-            )
+            d_res = max(_norm(r_d_mat), float(np.abs(r_d_lin).max(initial=0.0))) / c_scale
             if max(p_res, d_res, rel_gap) < max(best_marks):
                 best = (x, u, y)
                 best_marks = (p_res, d_res, rel_gap)
@@ -286,10 +284,10 @@ def _run_ipm(
 
             try:
                 # Nesterov-Todd scaling from X = L L^H, Z = R R^H and the SVD
-                # R^H L = U S V^H: G = L V S^-1/2 scales both X and Z to the
-                # diagonal point lam = S, and W = G G^H satisfies W Z W = X.
-                l_fac, l_inv = _factor(x)
-                r_fac, r_inv = _factor(z)
+                # R^H L = U S V^H: G = L V S^-1/2 gives X = G lam G^H and
+                # Z = G^-H lam G^-1 with lam = S, so W = G G^H satisfies W Z W = X
+                # and lam^-1/2 G^-1 and lam^-1/2 G^H are inverse factors of X and Z.
+                l_fac, r_fac = _factor(x), _factor(z)
                 svd_u, lam, svd_vh = np.linalg.svd(r_fac.conj().T @ l_fac)
                 lam = np.maximum(lam, 1e-300)
                 if not _finite(lam) or lam[0] > 1e120:
@@ -297,6 +295,7 @@ def _run_ipm(
                 root = np.sqrt(lam)
                 g = (l_fac @ svd_vh.conj().T) / root
                 g_inv = (svd_u.conj().T @ r_fac.conj().T) / root[:, None]
+                x_inv, z_inv = g_inv / root[:, None], g.conj().T / root[:, None]
                 w = g @ g.conj().T
                 jordan = 0.5 * (lam[:, None] + lam[None, :])
                 w_lin_sq = u / zl
@@ -313,6 +312,7 @@ def _run_ipm(
                 schur[q:, :q] = gen_cap.T
                 schur[q:, q:] = cap_outer * np.abs(w[:kc, :kc]) ** 2
                 schur += (g_mat * w_lin_sq) @ g_mat.T
+                schur_solve = _schur_solver(schur)
                 w_rd_w = w @ r_d_mat @ w
 
                 def solve_direction(target_mat: np.ndarray, target_lin: np.ndarray):
@@ -322,19 +322,18 @@ def _run_ipm(
                     s_mat = g @ (target_mat / jordan) @ g.conj().T
                     du_part = (target_lin - u * r_d_lin) / zl
                     rhs = r_p - _row_values(mats, cap_coef, s_mat - w_rd_w) - g_mat @ du_part
-                    dy = _chol_solve(schur, rhs)
+                    dy = schur_solve(rhs)
                     dz_mat = _herm(r_d_mat - adjoint(dy))
                     dx = _herm(s_mat - w @ dz_mat @ w)
-                    dz_lin = r_d_lin - g_mat.T @ dy
-                    du = du_part + w_lin_sq * (g_mat.T @ dy)
-                    return dx, du, dy, dz_mat, dz_lin
+                    g_dy = g_mat.T @ dy
+                    return dx, du_part + w_lin_sq * g_dy, dy, dz_mat, r_d_lin - g_dy
 
                 # Predictor: aim at zero complementarity.
                 lam_sq = np.diag(lam * lam)
                 dxa, dua, dya, dza, dzla = solve_direction(-lam_sq, -(u * zl))
 
-                ap = min(_max_step_psd(l_inv, dxa), _max_step_lin(u, dua), 1.0)
-                ad = min(_max_step_psd(r_inv, dza), _max_step_lin(zl, dzla), 1.0)
+                ap = min(_max_step_psd(x_inv, dxa), _max_step_lin(u, dua), 1.0)
+                ad = min(_max_step_psd(z_inv, dza), _max_step_lin(zl, dzla), 1.0)
                 gap_aff = _pair(x + ap * dxa, z + ad * dza) + float(
                     (u + ap * dua) @ (zl + ad * dzla)
                 )
@@ -347,9 +346,8 @@ def _run_ipm(
                 if not _finite(dx, du, dz, dzl, dy):
                     break
 
-                ap = 0.99 * min(_max_step_psd(l_inv, dx), _max_step_lin(u, du))
-                ad = 0.99 * min(_max_step_psd(r_inv, dz), _max_step_lin(zl, dzl))
-                ap, ad = min(ap, 1.0), min(ad, 1.0)
+                ap = min(0.99 * min(_max_step_psd(x_inv, dx), _max_step_lin(u, du)), 1.0)
+                ad = min(0.99 * min(_max_step_psd(z_inv, dz), _max_step_lin(zl, dzl)), 1.0)
                 x = _herm(x + ap * dx)
                 u = u + ap * du
                 y = y + ad * dy

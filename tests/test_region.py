@@ -230,12 +230,21 @@ class TestConvexHull:
             (np.zeros((0, 2)), DimensionMismatchError),
             (np.zeros(2), DimensionMismatchError),
             (np.array([[np.nan, 1.0], [1.0, 0.0]]), DomainError),
+            (np.array([[0.0, 1.0], [0.0, 1.0]]), DomainError),
+            (np.array([[1.0, 0.0], [0.0, 1.0]]), DomainError),
+            (np.array([[0.0, 1.0], [1.0, 2.0]]), DomainError),
+            (np.array([[0.0, 1.0], [0.2, 0.3], [1.0, 0.0]]), DomainError),
         ],
-        ids=["empty", "1-d", "nan"],
+        ids=["empty", "1-d", "nan", "repeated-vertex", "reversed", "rising", "non-convex"],
     )
     def test_points_expansion_checks_hull(self, hull, error):
         with pytest.raises(error, match="^hull must"):
             points_expansion(hull, np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros(2)], ids=["empty", "1-d"])
+    def test_closed_hull_checks_points(self, points):
+        with pytest.raises(DimensionMismatchError, match="^points must be a non-empty"):
+            closed_hull(points)
 
     def test_points_expansion_rejects_nonfinite_points(self):
         with pytest.raises(DomainError, match="^points must be finite$"):

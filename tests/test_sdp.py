@@ -72,6 +72,11 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             SdpProblem(dimension=k, objective=np.eye(k, dtype=complex), constraints=())
 
+    @pytest.mark.parametrize("dimension", [2.0, "2", True], ids=["float", "str", "bool"])
+    def test_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(DomainError, match="^dimension must be an integer$"):
+            SdpProblem(dimension=dimension, objective=np.eye(2, dtype=complex), constraints=())
+
     def test_negative_caps_rejected(self):
         with pytest.raises(DomainError):
             SdpProblem(
@@ -455,3 +460,59 @@ class TestStalledSolve:
         assert sol.objective == pytest.approx(3.4125, abs=1e-4)
         assert sol.objective == pytest.approx(float(np.real(np.vdot(c, sol.x))), rel=1e-12)
         assert sol.max_violation == sdp._violation(prob, sol.x)
+
+
+class TestNumericalFallbacks:
+    """The interior-point method's guards against roundoff near singularity."""
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_factor_of_singular_psd_matrix(self, k):
+        rng = np.random.default_rng(k)
+        v = rng.normal(size=(k, k - 1)) + 1j * rng.normal(size=(k, k - 1))
+        v[0] = 0.0
+        a = v @ v.conj().T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        f = sdp._factor(a)
+        assert f.shape == (k, k)
+        scale = max(1.0, float(np.linalg.norm(a)))
+        np.testing.assert_allclose(f @ f.conj().T, a, rtol=0.0, atol=1e-12 * scale)
+
+    def test_schur_solver_on_singular_matrix_is_least_squares(self):
+        m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        solve = sdp._schur_solver(m)
+        np.testing.assert_allclose(solve(rhs), np.linalg.pinv(m) @ rhs, atol=1e-14)
+
+    def test_schur_solver_on_near_singular_matrix_is_jittered(self):
+        # Roundoff leaves the smallest eigenvalue slightly negative; the
+        # first retry adds 1e-14 times the mean diagonal.
+        m = np.diag([1.0, -1e-20])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m)
+        jitter = 0.5 * (1.0 - 1e-20) * 1e-14
+        rhs = np.array([1.0, 1.0])
+        y = sdp._schur_solver(m)(rhs)
+        np.testing.assert_allclose(y, rhs / (np.diag(m) + jitter), rtol=1e-12)
+
+    def test_each_factor_is_formed_once_per_iteration(self, monkeypatch):
+        # Iterations are counted by the one SVD each makes. One Schur factor
+        # serves both directions, and its inverse is the only one formed:
+        # the factors of X and Z are inverted through the scaling instead.
+        counts = {"svd": 0, "inv": 0, "schur": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        monkeypatch.setattr(sdp, "_schur_solver", counted("schur", sdp._schur_solver))
+        sol = solve_min_trace(sdr_instance(np.random.default_rng(3), 4, with_caps=True))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert counts["svd"] > 0
+        assert counts["schur"] == counts["svd"]
+        assert counts["inv"] == counts["svd"]
