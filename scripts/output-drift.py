@@ -11,11 +11,13 @@ Prints one line per relative file path found in either tree:
     missing    PATH  only in BASE|NEW
 
 Exits 0 when every file is identical or differs only in numbers, 1 otherwise,
-and 2 on a usage error. Standard library only.
+and 2 on a usage error; a reader that closes stdout early (``| head``) does not
+change the exit code. Standard library only.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from pathlib import Path
@@ -39,6 +41,14 @@ def compare(base: bytes, new: bytes) -> tuple[str, int, float]:
     return "numbers", len(changed), max(abs(float(a) - float(b)) for a, b in changed)
 
 
+def _say(line: str) -> None:
+    """Prints one line; once the reader has gone, later lines go to devnull."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(Path(a).is_dir() for a in argv):
         print("usage: output-drift.py BASE NEW  (two directories)", file=sys.stderr)
@@ -48,14 +58,14 @@ def main(argv: list[str]) -> int:
     ok = True
     for rel in sorted(in_base | in_new):
         if rel not in in_base or rel not in in_new:
-            print(f"missing    {rel}  only in {'BASE' if rel in in_base else 'NEW'}")
+            _say(f"missing    {rel}  only in {'BASE' if rel in in_base else 'NEW'}")
             ok = False
             continue
         verdict, changed, worst = compare((base / rel).read_bytes(), (new / rel).read_bytes())
         if verdict == "numbers":
-            print(f"numbers    {rel}  changed={changed}  max_abs={worst:.3g}")
+            _say(f"numbers    {rel}  changed={changed}  max_abs={worst:.3g}")
         else:
-            print(f"{verdict:<10} {rel}")
+            _say(f"{verdict:<10} {rel}")
         ok = ok and verdict != "text"
     return 0 if ok else 1
 

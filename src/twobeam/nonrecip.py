@@ -1,11 +1,12 @@
 """Rate-profile solvers for non-reciprocal channels.
 
 The boundary of the rate region is traced one rate profile at a time: fix the
-split ``(kappa, 1 - kappa)`` of the sum rate, then bisect on the sum rate. Each
-bisection step asks one max-slack feasibility SDP whether the implied SNR
-pair is supportable, with a sum budget as one more trace row and per-relay
-caps as diagonal bounds; a step the solver leaves undecided (``MAX_ITER``)
-raises ``SolverError`` instead of counting as infeasible. Sum-power
+split ``(kappa, 1 - kappa)`` of the sum rate, then bisect on the sum rate. One
+search per channel realization builds the channel-only parts once and serves
+every kappa. Each bisection step asks one max-slack feasibility SDP whether
+the implied SNR pair is supportable, with a sum budget as one more trace row
+and per-relay caps as diagonal bounds; a step the solver leaves undecided
+(``MAX_ITER``) raises ``SolverError`` instead of counting as infeasible. Sum-power
 solutions admit an exact rank-one reduction; individual-power solutions use
 randomized rank-one extraction.
 ``min_power_sdp`` keeps the minimum-power relaxation as a tested reference.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .model import Beamformer, ChannelSet, IndividualPower, PowerBudget, RatePair, SumPower
-from .model import SystemParams, _relay_caps, _require_count, _require_positive_scalar
+from .model import Beamformer, ChannelSet, IndividualPower, NoiseMatrices, PowerBudget, RatePair
+from .model import SumPower, SystemParams, _relay_caps, _require_count, _require_positive_scalar
 from .model import _require_weight, noise_matrices, rate_pair
 from .sdp import (
     SdpProblem,
@@ -118,6 +119,18 @@ def snr_targets(kappa: float, r: float) -> tuple[float, float]:
     return gamma(kappa), gamma(kappa_bar)
 
 
+def _snr_rows(ch: ChannelSet, sp: SystemParams, nm: NoiseMatrices):
+    """Both SNR rows, ``(s - gamma a, gamma sigma^2)``, as a function of the targets."""
+    f1, f2 = ch.f1, ch.f2
+    parts = (
+        (sp.p_s2 * np.outer(f2.conj(), f2), np.diag(nm.a1).astype(np.complex128), sp.sigma_s1_sq),
+        (sp.p_s1 * np.outer(f1.conj(), f1), np.diag(nm.a2).astype(np.complex128), sp.sigma_s2_sq),
+    )
+    return lambda gamma1, gamma2: tuple(
+        (s - g * a, g * var) for (s, a, var), g in zip(parts, (gamma1, gamma2))
+    )
+
+
 def snr_constraint_rows(
     ch: ChannelSet, sp: SystemParams, gamma1: float, gamma2: float
 ) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
@@ -126,11 +139,7 @@ def snr_constraint_rows(
     Direction 1 reads tr[(P_S2 F2 - gamma1 A1) X] >= gamma1 sigma_S1^2 and
     direction 2 swaps the roles; both matrices are Hermitian by construction.
     """
-    nm = noise_matrices(ch, sp)
-    f1, f2 = ch.f1, ch.f2
-    b1 = sp.p_s2 * np.outer(f2.conj(), f2) - gamma1 * np.diag(nm.a1).astype(np.complex128)
-    b2 = sp.p_s1 * np.outer(f1.conj(), f1) - gamma2 * np.diag(nm.a2).astype(np.complex128)
-    return (b1, gamma1 * sp.sigma_s1_sq), (b2, gamma2 * sp.sigma_s2_sq)
+    return _snr_rows(ch, sp, noise_matrices(ch, sp))(gamma1, gamma2)
 
 
 def r_max_bound(ch: ChannelSet, sp: SystemParams, budget: PowerBudget) -> float:
@@ -190,59 +199,60 @@ def min_power_sdp(
     return solve_min_trace(problem)
 
 
-def _bisect_profile(
-    ch: ChannelSet,
-    sp: SystemParams,
-    kappa: float,
-    budget: PowerBudget,
-    epsilon: float,
-) -> tuple[float, np.ndarray]:
-    """Bisect the sum rate on max-slack feasibility of the SNR targets plus
-    the relay budget: a pooled budget as the trace row tr(D X) <= p_r, per-relay
-    caps as diagonal bounds X_ii <= p_i/D_ii.
+def _profile_search(ch: ChannelSet, sp: SystemParams, budget: PowerBudget):
+    """Rate-profile search over one channel realization, for every kappa.
 
-    Returns the located rate and a PSD witness of the last feasible step
-    (zero when no positive rate fits), scaled by the largest factor <= 1 that
-    meets the budget. Raises SolverError when a step ends ``MAX_ITER``: that
-    verdict certifies neither side of the bracket.
+    D, the budget (pooled as the trace row tr(D X) <= p_r, per-relay caps as
+    diagonal bounds X_ii <= p_i/D_ii), the bracket top and the channel-only
+    parts of the SNR rows are built once. ``search(kappa, epsilon)`` bisects
+    the sum rate on max-slack feasibility and returns the located rate and a
+    PSD witness of the last feasible step (zero when no positive rate fits),
+    scaled by the largest factor <= 1 that meets the budget. A step that ends
+    ``MAX_ITER`` certifies neither side of the bracket and raises SolverError.
     """
-    epsilon = _require_positive_scalar(epsilon, "epsilon")
-    d = noise_matrices(ch, sp).d
+    nm = noise_matrices(ch, sp)
+    d, snr_rows = nm.d, _snr_rows(ch, sp, nm)
     if isinstance(budget, SumPower):
         rows, caps = ((-np.diag(d).astype(np.complex128), -budget.p_r),), None
     else:
         rows, caps = (), _relay_caps(budget.p, ch.k) / d
-    r_low, r_up = 0.0, r_max_bound(ch, sp, budget)
-    x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
-    for _ in range(_MAX_STEPS):
-        if r_up - r_low < epsilon:
-            break
-        r = 0.5 * (r_low + r_up)
-        gamma1, gamma2 = snr_targets(kappa, r)
-        if not np.isfinite(gamma1) or not np.isfinite(gamma2):
-            r_up = r
-            continue
-        problem = SdpProblem(
-            dimension=ch.k,
-            objective=None,
-            constraints=snr_constraint_rows(ch, sp, gamma1, gamma2) + rows,
-            caps=caps,
-        )
-        sol = solve_feasibility(problem)
-        if sol.status is SdpStatus.MAX_ITER:
-            raise SolverError(f"feasibility at sum rate {r!r} ended without a verdict")
-        if sol.status is SdpStatus.OPTIMAL:
-            r_low = r
-            x_best = sol.x
+    r_top = r_max_bound(ch, sp, budget)
+
+    def search(kappa: float, epsilon: float) -> tuple[float, np.ndarray]:
+        epsilon = _require_positive_scalar(epsilon, "epsilon")
+        r_low, r_up = 0.0, r_top
+        x_best = np.zeros((ch.k, ch.k), dtype=np.complex128)
+        for _ in range(_MAX_STEPS):
+            if r_up - r_low < epsilon:
+                break
+            r = 0.5 * (r_low + r_up)
+            gamma1, gamma2 = snr_targets(kappa, r)
+            if not np.isfinite(gamma1) or not np.isfinite(gamma2):
+                r_up = r
+                continue
+            problem = SdpProblem(
+                dimension=ch.k,
+                objective=None,
+                constraints=snr_rows(gamma1, gamma2) + rows,
+                caps=caps,
+            )
+            sol = solve_feasibility(problem)
+            if sol.status is SdpStatus.MAX_ITER:
+                raise SolverError(f"feasibility at sum rate {r!r} ended without a verdict")
+            if sol.status is SdpStatus.OPTIMAL:
+                r_low = r
+                x_best = sol.x
+            else:
+                r_up = r
         else:
-            r_up = r
-    else:
-        raise SolverError(f"bisection did not reach epsilon={epsilon} in {_MAX_STEPS} steps")
-    # The feasibility tolerance lets the witness overshoot the budget by
-    # float dust; scale it back so extracted beamformers meet it exactly.
-    diag = np.real(np.diag(x_best))
-    spend, limit = (d @ diag, budget.p_r) if isinstance(budget, SumPower) else (d * diag, budget.p)
-    return r_low, x_best * np.min(limit / np.maximum(spend, limit))
+            raise SolverError(f"bisection did not reach epsilon={epsilon} in {_MAX_STEPS} steps")
+        # The feasibility tolerance lets the witness overshoot the budget by
+        # float dust; scale it back so extracted beamformers meet it exactly.
+        diag = np.real(np.diag(x_best))
+        spend, limit = (d @ diag, budget.p_r) if caps is None else (d * diag, budget.p)
+        return r_low, x_best * np.min(limit / np.maximum(spend, limit))
+
+    return search
 
 
 def algorithm1_sum_power(
@@ -259,7 +269,7 @@ def algorithm1_sum_power(
     the returned witness reduces exactly to rank one, so no minimum-power
     solve is needed.
     """
-    return _bisect_profile(ch, sp, kappa, SumPower(p_r), epsilon)
+    return _profile_search(ch, sp, SumPower(p_r))(kappa, epsilon)
 
 
 def algorithm2_individual(
@@ -274,7 +284,7 @@ def algorithm2_individual(
     Same bisection as the sum-power driver, with the caps folded into each
     feasibility SDP as diagonal bounds X_ii <= p_i/D_ii.
     """
-    return _bisect_profile(ch, sp, kappa, IndividualPower(p), epsilon)
+    return _profile_search(ch, sp, IndividualPower(p))(kappa, epsilon)
 
 
 def _trace_preserving_direction(mats: np.ndarray) -> np.ndarray:

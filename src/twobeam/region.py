@@ -1,9 +1,10 @@
 """Monte Carlo rate regions: seeded sweeps, averaging, hulls, containment.
 
 A region run draws channel realizations, traces the boundary per realization
-with the matching solver (closed forms for reciprocal channels, rate-profile
-bisection over SDPs otherwise), averages the rate pairs per grid point, and
-closes the averaged boundary with the two axis endpoints before hulling.
+with the matching solver (closed forms for reciprocal channels, otherwise one
+rate-profile search per realization that serves every grid value), averages
+the rate pairs per grid point, and closes the averaged boundary with the two
+axis endpoints before hulling.
 Region comparisons reduce to vertex containment tests on the chains.
 """
 
@@ -19,12 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, SolverError
 from .model import ChannelSet, IndividualPower, PowerBudget, SumPower, SystemParams
 from .model import _require_count, _require_positive_scalar, rate_pair
-from .nonrecip import (
-    algorithm1_sum_power,
-    algorithm2_individual,
-    randomize_rank_one,
-    snr_targets,
-)
+from .nonrecip import _profile_search, randomize_rank_one, snr_targets
 from .recip import (
     individual_power_beamformer,
     sum_power_beamformer,
@@ -204,28 +200,36 @@ def sample_channels(sc: Scenario, seed) -> ChannelSet:
     return draw_channels(rng, sc.k, sc.reciprocal, sc.channel_variance)
 
 
-def _boundary_point(
-    sc: Scenario, ch: ChannelSet, g: float, rand_seed
-) -> tuple[tuple[float, float], tuple[float, float] | None]:
-    sp = sc.params
-    if sc.reciprocal:
-        if isinstance(sc.budget, SumPower):
-            sol = wsismin_sum_power(ch, sp, sc.budget.p_r, g)
-            w = sum_power_beamformer(ch, sol)
-        else:
-            sol = wsismin_individual(ch, sp, sc.budget.p, g)
-            w = individual_power_beamformer(ch, sp, sc.budget.p, sol)
-        r = rate_pair(ch, sp, w)
-        return (r.r1, r.r2), None
-    if isinstance(sc.budget, SumPower):
-        r_sum, _ = algorithm1_sum_power(ch, sp, sc.budget.p_r, g, sc.epsilon_bits)
-        return (g * r_sum, (1.0 - g) * r_sum), None
-    r_sum, x_best = algorithm2_individual(ch, sp, sc.budget.p, g, sc.epsilon_bits)
-    gamma1, gamma2 = snr_targets(g, r_sum)
-    rnd = randomize_rank_one(
-        x_best, ch, sp, gamma1, gamma2, num_candidates=sc.rand_candidates, seed=rand_seed
-    )
-    return (g * r_sum, (1.0 - g) * r_sum), (rnd.rates.r1, rnd.rates.r2)
+def _realization_points(sc: Scenario, ch: ChannelSet, rand_seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Primary and randomized (m, 2) boundary points of one realization, NaN
+    where a grid value's solve failed. One profile search serves every
+    non-reciprocal grid value; only per-relay caps fill randomized rows."""
+    sp, budget = sc.params, sc.budget
+    primary = np.full((sc.grid.size, 2), np.nan)
+    randomized = primary.copy()
+    search = None if sc.reciprocal else _profile_search(ch, sp, budget)
+    for j, g in enumerate(sc.grid.tolist()):
+        try:
+            if sc.reciprocal:
+                if isinstance(budget, SumPower):
+                    w = sum_power_beamformer(ch, wsismin_sum_power(ch, sp, budget.p_r, g))
+                else:
+                    sol = wsismin_individual(ch, sp, budget.p, g)
+                    w = individual_power_beamformer(ch, sp, budget.p, sol)
+                r = rate_pair(ch, sp, w)
+                primary[j] = r.r1, r.r2
+                continue
+            r_sum, x_best = search(g, sc.epsilon_bits)
+            if isinstance(budget, IndividualPower):
+                rnd = randomize_rank_one(
+                    x_best, ch, sp, *snr_targets(g, r_sum),
+                    num_candidates=sc.rand_candidates, seed=rand_seeds[j],
+                )
+                randomized[j] = rnd.rates.r1, rnd.rates.r2
+            primary[j] = g * r_sum, (1.0 - g) * r_sum
+        except SolverError:
+            continue
+    return primary, randomized
 
 
 def closed_hull(points: np.ndarray) -> np.ndarray:
@@ -242,24 +246,13 @@ def build_region(sc: Scenario) -> RegionResult:
     its successful samples, is dropped with a warning when nothing succeeded
     for it, and the run aborts only when no grid point succeeded at all.
     """
-    root = np.random.SeedSequence(sc.seed)
-    children = root.spawn(sc.realizations)
+    children = np.random.SeedSequence(sc.seed).spawn(sc.realizations)
     m = sc.grid.size
-    wants_randomized = not sc.reciprocal and isinstance(sc.budget, IndividualPower)
-    primary = np.full((sc.realizations, m, 2), np.nan)
-    secondary = np.full((sc.realizations, m, 2), np.nan) if wants_randomized else None
+    points = np.full((2, sc.realizations, m, 2), np.nan)
     for i, child in enumerate(children):
         chan_ss, rand_ss = child.spawn(2)
-        ch = sample_channels(sc, chan_ss)
-        rand_children = rand_ss.spawn(m)
-        for j, g in enumerate(sc.grid):
-            try:
-                point, extra = _boundary_point(sc, ch, float(g), rand_children[j])
-            except SolverError:
-                continue
-            primary[i, j] = point
-            if extra is not None:
-                secondary[i, j] = extra
+        points[:, i] = _realization_points(sc, sample_channels(sc, chan_ss), rand_ss.spawn(m))
+    primary, secondary = points
     n_success = np.isfinite(primary[:, :, 0]).sum(axis=0)
     if not np.any(n_success):
         raise SolverError("every grid point failed across all realizations")

@@ -38,7 +38,12 @@ from twobeam.nonrecip import (
     snr_constraint_rows,
     snr_targets,
 )
-from twobeam.recip import sum_power_beamformer, wsismin_sum_power
+from twobeam.recip import (
+    individual_power_beamformer,
+    sum_power_beamformer,
+    wsismin_individual,
+    wsismin_sum_power,
+)
 from twobeam.region import sample_channels
 from twobeam.sdp import SdpSolution, SdpStatus
 
@@ -596,3 +601,72 @@ class TestEdgeInputs:
     def test_caps_met(self, case, kappa):
         ch, sp, p, _, res = edge_caps_run(case, kappa)
         assert np.all(relay_powers(ch, sp, res.w) <= p * (1.0 + 1e-9))
+
+
+SCALING_PARAMS = SystemParams(
+    p_s1=2.0, p_s2=0.5, sigma_relay=np.array([0.3, 1.5, 0.8]), sigma_s1_sq=0.7, sigma_s2_sq=1.9
+)
+SCALING_CAPS = np.array([2.0, 3.0, 1.0])
+
+
+def jointly_scaled(c: float) -> SystemParams:
+    sp = SCALING_PARAMS
+    return SystemParams(
+        p_s1=c * sp.p_s1,
+        p_s2=c * sp.p_s2,
+        sigma_relay=c * sp.sigma_relay,
+        sigma_s1_sq=c * sp.sigma_s1_sq,
+        sigma_s2_sq=c * sp.sigma_s2_sq,
+    )
+
+
+@cache
+def scaled_profile_rate(budget: str, c: float) -> float:
+    ch = draw_nonreciprocal(np.random.default_rng(71), 3)
+    if budget == "pooled":
+        return algorithm1_sum_power(ch, jointly_scaled(c), c * 10.0, 0.5)[0]
+    return algorithm2_individual(ch, jointly_scaled(c), c * SCALING_CAPS, 0.5)[0]
+
+
+class TestJointScaling:
+    """Scaling every power and noise variance together by c leaves each rate
+    unchanged: every SNR is a ratio of terms that all scale with c."""
+
+    @pytest.mark.parametrize(
+        "budget, c",
+        [
+            ("pooled", 1e-6),
+            ("pooled", 1e6),
+            pytest.param(
+                "caps",
+                1e-6,
+                marks=pytest.mark.xfail(
+                    raises=SolverError,
+                    strict=True,
+                    reason="the IPM divides each row by max(1, ||A||, |b|); rows of size 1e-6"
+                    " keep their scale and one feasibility step ends MAX_ITER",
+                ),
+            ),
+            ("caps", 1e6),
+        ],
+    )
+    def test_nonreciprocal_rate_invariant(self, budget, c):
+        base = scaled_profile_rate(budget, 1.0)
+        assert base > 0.0
+        assert abs(scaled_profile_rate(budget, c) - base) <= 1e-4
+
+    def test_reciprocal_closed_forms_invariant(self):
+        ch = draw_reciprocal(np.random.default_rng(72), 3)
+
+        def rates(c):
+            sp = jointly_scaled(c)
+            w_sum = sum_power_beamformer(ch, wsismin_sum_power(ch, sp, c * 10.0, 0.5))
+            caps = c * SCALING_CAPS
+            w_ind = individual_power_beamformer(ch, sp, caps, wsismin_individual(ch, sp, caps, 0.5))
+            pairs = [rate_pair(ch, sp, w) for w in (w_sum, w_ind)]
+            return np.array([(r.r1, r.r2) for r in pairs])
+
+        base = rates(1.0)
+        assert np.all(base > 0.0)
+        for c in (1e-6, 1e6):
+            np.testing.assert_allclose(rates(c), base, rtol=1e-12)

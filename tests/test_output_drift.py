@@ -1,5 +1,6 @@
 """scripts/output-drift.py: verdicts and exit codes on two small output trees."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,24 @@ def test_reports_each_verdict_and_exit_code(tmp_path):
     assert drift(base, numbers_only)[0] == 0
     assert drift(base)[0] == 2
     assert drift(base, tmp_path / "absent")[0] == 2
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code(tmp_path):
+    # A reader that went away (`| head`) must not turn "identical" into a
+    # traceback and exit 1.
+    files = {f"run{i:03d}.out": f"line {i}\n" for i in range(200)}
+    base = write_tree(tmp_path / "base", files)
+    new = write_tree(tmp_path / "new", files)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, str(SCRIPT), str(base), str(new)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr

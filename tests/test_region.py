@@ -12,7 +12,13 @@ from scipy.optimize import brentq
 from twobeam.cli import load_scenario
 from twobeam.errors import DimensionMismatchError, DomainError, SolverError
 from twobeam.model import IndividualPower, RatePair, SumPower, SystemParams, rate_pair
-from twobeam.nonrecip import algorithm1_sum_power, profile_rate
+from twobeam.nonrecip import (
+    algorithm1_sum_power,
+    algorithm2_individual,
+    profile_rate,
+    randomize_rank_one,
+    snr_targets,
+)
 from twobeam.oracle import hull_bruteforce
 from twobeam.recip import (
     individual_power_beamformer,
@@ -36,6 +42,7 @@ from twobeam.region import (
     sample_channels,
     scenario_to_dict,
 )
+from twobeam.sdp import SdpSolution, SdpStatus
 
 from helpers import unit_params
 
@@ -56,6 +63,8 @@ def unit_scenario(k, budget, *, reciprocal=True, grid=None, realizations=1, seed
         **kw,
     )
 
+
+NONRECIP_BUDGETS = [SumPower(6.0), IndividualPower(np.array([2.0, 1.0]))]
 
 def chain_region(hull):
     # Minimal RegionResult wrapper when only the hull matters.
@@ -365,6 +374,50 @@ class TestFailureHandling:
         finite = res.samples[np.isfinite(res.samples[:, 0, 0]), 0, :]
         np.testing.assert_allclose(finite.mean(axis=0), res.means[0], rtol=1e-15)
 
+    @pytest.mark.parametrize("budget", NONRECIP_BUDGETS, ids=["pooled", "caps"])
+    def test_nonreciprocal_failure_stays_at_its_kappa(self, monkeypatch, budget):
+        # One realization's search serves every kappa; an undecided step at
+        # one kappa must still drop only that kappa's samples.
+        import twobeam.nonrecip as nonrecip_mod
+
+        searching = {}
+        real_targets, real_feasibility = nonrecip_mod.snr_targets, nonrecip_mod.solve_feasibility
+
+        def recording(kappa, r):
+            searching["kappa"] = kappa
+            return real_targets(kappa, r)
+
+        def stalled_at_half(problem):
+            if searching["kappa"] != 0.5:
+                return real_feasibility(problem)
+            k = problem.dimension
+            return SdpSolution(
+                x=np.zeros((k, k), dtype=complex),
+                status=SdpStatus.MAX_ITER,
+                objective=0.0,
+                max_violation=0.0,
+                duality_gap=1.0,
+            )
+
+        monkeypatch.setattr(nonrecip_mod, "snr_targets", recording)
+        monkeypatch.setattr(nonrecip_mod, "solve_feasibility", stalled_at_half)
+        sc = unit_scenario(
+            2,
+            budget,
+            reciprocal=False,
+            grid=np.array([0.25, 0.5, 0.75]),
+            realizations=2,
+            seed=8,
+            epsilon_bits=1e-3,
+            rand_candidates=200,
+        )
+        with pytest.warns(RuntimeWarning, match="dropping grid points"):
+            res = build_region(sc)
+        np.testing.assert_array_equal(res.grid, [0.25, 0.75])
+        np.testing.assert_array_equal(res.n_success, [2, 2])
+        if isinstance(budget, IndividualPower):
+            np.testing.assert_array_equal(res.randomized.grid, res.grid)
+
 
 class TestBuildRegionNonReciprocal:
     def test_sum_budget_points_follow_profile_split(self):
@@ -401,6 +454,43 @@ class TestBuildRegionNonReciprocal:
         again = build_region(sc)
         np.testing.assert_array_equal(res.means, again.means)
         np.testing.assert_array_equal(res.randomized.means, again.randomized.means)
+
+    @pytest.mark.parametrize("budget", NONRECIP_BUDGETS, ids=["pooled", "caps"])
+    def test_points_equal_public_drivers(self, budget):
+        # region's per-realization search and the public drivers behind
+        # `solve` are one search: same rates and witnesses, bit for bit.
+        grid = np.array([0.25, 0.75])
+        sc = unit_scenario(
+            2,
+            budget,
+            reciprocal=False,
+            grid=grid,
+            seed=23,
+            epsilon_bits=1e-3,
+            rand_candidates=200,
+            keep_samples=True,
+        )
+        res = build_region(sc)
+        chan_ss, rand_ss = np.random.SeedSequence(sc.seed).spawn(1)[0].spawn(2)
+        ch = sample_channels(sc, chan_ss)
+        rand_seeds = rand_ss.spawn(grid.size)
+        for j, g in enumerate(grid.tolist()):
+            if isinstance(budget, SumPower):
+                r, _ = algorithm1_sum_power(ch, sc.params, budget.p_r, g, sc.epsilon_bits)
+            else:
+                r, x = algorithm2_individual(ch, sc.params, budget.p, g, sc.epsilon_bits)
+                rnd = randomize_rank_one(
+                    x,
+                    ch,
+                    sc.params,
+                    *snr_targets(g, r),
+                    num_candidates=sc.rand_candidates,
+                    seed=rand_seeds[j],
+                )
+                np.testing.assert_array_equal(
+                    res.randomized.samples[0, j], [rnd.rates.r1, rnd.rates.r2]
+                )
+            np.testing.assert_array_equal(res.samples[0, j], [g * r, (1.0 - g) * r])
 
     def test_shipped_randomized_samples_stay_below_relaxed_rate(self):
         # The documented guarantee is per sample and per profile, not that
