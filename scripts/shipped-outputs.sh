@@ -39,6 +39,24 @@ run() {
 for name in reciprocal-sum reciprocal-individual nonreciprocal-sum nonreciprocal-individual; do
     run "region-$name" region "$scenarios/$name.json" --out "$out/region-$name"
 done
+# The caps scenario with every power and noise variance scaled by 2^-20:
+# each SNR is a ratio of such terms, so its region files must not change.
+scaled=$out/nonreciprocal-individual-scaled.json
+python3 - "$scenarios/nonreciprocal-individual.json" "$scaled" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    sc = json.load(f)
+for key in ("p_s1_watts", "p_s2_watts", "sigma_s1_sq_watts", "sigma_s2_sq_watts",
+            "sigma_relay_watts"):
+    sc[key] *= 2.0**-20
+sc["budget"]["p_watts"] = [p * 2.0**-20 for p in sc["budget"]["p_watts"]]
+with open(sys.argv[2], "w") as f:
+    json.dump(sc, f, indent=2)
+PY
+run region-nonreciprocal-individual-scaled region "$scaled" \
+    --out "$out/region-nonreciprocal-individual-scaled"
 for name in nonreciprocal-sum nonreciprocal-individual; do
     for kappa in 0 0.3 0.5 1; do
         run "solve-$name-kappa$kappa" solve "$scenarios/$name.json" --kappa "$kappa"

@@ -304,7 +304,11 @@ def map_u(t1: float, t2: float) -> RatePair:
     return RatePair(r1=0.5 * math.log2(1.0 + 1.0 / t1), r2=0.5 * math.log2(1.0 + 1.0 / t2))
 
 
+def _snr_for_rate(r: float) -> float:
+    return 2.0 ** (2.0 * r) - 1.0
+
+
 def map_u_inverse(r1: float, r2: float) -> tuple[float, float]:
     """Inverse of :func:`map_u`; requires strictly positive rates."""
     r1, r2 = _require_positive_scalar(r1, "r1"), _require_positive_scalar(r2, "r2")
-    return (1.0 / (2.0 ** (2.0 * r1) - 1.0), 1.0 / (2.0 ** (2.0 * r2) - 1.0))
+    return (1.0 / _snr_for_rate(r1), 1.0 / _snr_for_rate(r2))

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .model import Beamformer, ChannelSet, IndividualPower, NoiseMatrices, PowerBudget, RatePair
 from .model import SumPower, SystemParams, _relay_caps, _require_count, _require_positive_scalar
-from .model import _require_weight, noise_matrices, rate_pair
+from .model import _require_weight, _snr_for_rate, noise_matrices, rate_pair
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -114,7 +114,7 @@ def snr_targets(kappa: float, r: float) -> tuple[float, float]:
     def gamma(split: float) -> float:
         if split * r > _MAX_RATE_EXPONENT:
             return np.inf
-        return 2.0 ** (2.0 * split * r) - 1.0
+        return _snr_for_rate(split * r)
 
     return gamma(kappa), gamma(kappa_bar)
 

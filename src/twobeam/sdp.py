@@ -19,6 +19,11 @@ constraints and optional diagonal caps. Problems are tiny (K rarely above
   that scaling also supplies the inverse factors used for step lengths,
   and the Schur matrix is factored once per iteration, for both steps.
 
+Each problem builds the solver's form once, at construction: every general
+row A, b divided by its own size s = max(||A||, |b|) (1 if both are zero),
+so no verdict depends on units, and every cap row -X_ii >= -u_i divided by
+max(1, u_i). A zero cap slices its frozen dimension out of that form.
+
 Feasibility questions are answered by maximizing how far all relaxable
 constraints can be pushed past their bounds simultaneously, which is a
 bounded problem with a strictly interior starting point; the sign of that
@@ -87,6 +92,8 @@ class SdpProblem:
     objective: np.ndarray | None
     constraints: tuple[tuple[np.ndarray, float], ...]
     caps: np.ndarray | None = None
+    # The solver's form: (objective, rows A / s, cap coefficients, bounds 2 b / s).
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", _require_count(self.dimension, "dimension", 1))
@@ -117,6 +124,15 @@ class SdpProblem:
                 raise DomainError("caps must be non-negative and finite")
             caps.setflags(write=False)
             object.__setattr__(self, "caps", caps)
+        a = np.array([a for a, _ in rows], dtype=complex).reshape(-1, self.dimension, self.dimension)
+        b = np.array([b for _, b in rows], dtype=np.float64)
+        s = np.maximum(np.linalg.norm(a, axis=(1, 2)), np.abs(b))
+        s[s == 0.0] = 1.0
+        u = self.caps if self.caps is not None else np.zeros(0)
+        s_cap = np.maximum(1.0, u)
+        bounds = np.concatenate([2.0 * b / s, 2.0 * (-u) / s_cap])
+        form = (self.objective, a / s[:, None, None], -1.0 / s_cap, bounds)
+        object.__setattr__(self, "_form", form)
 
     @property
     def is_feasibility(self) -> bool:
@@ -361,51 +377,13 @@ def _run_ipm(
     return x, u, y, converged
 
 
-def _normalized_rows(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-normalized (mats, cap_coef, bounds) in the 2 Re tr pairing.
-
-    Each general row A, b is divided by s = max(1, ||A||, |b|) and stacked
-    into mats; a cap X_ii <= u_i is the row -X_ii / s_i >= -u_i / s_i with
-    s_i = max(1, u_i), kept as its coefficient -1/s_i. bounds lists 2 b / s,
-    general rows first, then caps.
-    """
-    k = problem.dimension
-    a = np.array([a for a, _ in problem.constraints], dtype=np.complex128).reshape(-1, k, k)
-    b = np.array([b for _, b in problem.constraints], dtype=np.float64)
-    s = np.maximum(np.maximum(1.0, np.linalg.norm(a, axis=(1, 2))), np.abs(b))
-    u = problem.caps if problem.caps is not None else np.zeros(0)
-    s_cap = np.maximum(1.0, u)
-    bounds = np.concatenate([2.0 * b / s, 2.0 * (-u) / s_cap])
-    return a / s[:, None, None], -1.0 / s_cap, bounds
-
-
 def _violation(problem: SdpProblem, x: np.ndarray) -> float:
     # Each row's shortfall (b - tr(A X)) / s at its normalization scale s.
-    mats, cap_coef, bounds = _normalized_rows(problem)
+    _, mats, cap_coef, bounds = problem._form
     short = 0.5 * (bounds - _row_values(mats, cap_coef, x))
     lo = float(np.linalg.eigvalsh(x)[0])
     norm = max(1.0, float(np.linalg.norm(x)))
     return max(float(np.max(short, initial=0.0)), -lo / norm)
-
-
-def _reduce_zero_caps(problem: SdpProblem) -> tuple[SdpProblem | None, np.ndarray]:
-    """Remove dimensions frozen to zero by zero caps; None if all are frozen."""
-    if problem.caps is None or not np.any(problem.caps == 0.0):
-        return problem, np.arange(problem.dimension)
-    keep = np.flatnonzero(problem.caps > 0.0)
-    if keep.size == 0:
-        return None, keep
-    sub = np.ix_(keep, keep)
-    rows = tuple((a[sub], b) for a, b in problem.constraints)
-    reduced = SdpProblem(
-        dimension=keep.size,
-        objective=problem.objective
-        if problem.is_feasibility
-        else problem.objective[sub],
-        constraints=rows,
-        caps=problem.caps[keep],
-    )
-    return reduced, keep
 
 
 def _solution(
@@ -430,6 +408,17 @@ def _expand(x_small: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
+def _live(problem: SdpProblem) -> tuple[np.ndarray, tuple]:
+    """The dimensions no zero cap freezes, and the form sliced down to them."""
+    if problem.caps is None or problem.caps.all():
+        return np.arange(problem.dimension), problem._form
+    keep = np.flatnonzero(problem.caps)
+    c_mat, mats, cap_coef, bounds = problem._form
+    c_mat = None if c_mat is None else c_mat[np.ix_(keep, keep)]
+    rows = np.r_[: mats.shape[0], mats.shape[0] + keep]
+    return keep, (c_mat, mats[:, keep[:, None], keep], cap_coef[keep], bounds[rows])
+
+
 def _polish_witness(
     problem: SdpProblem, x: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
@@ -447,7 +436,7 @@ def _polish_witness(
     x = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
     # Row scaling leaves every ratio b / <A, X> as it is; cap rows read
     # -X_ii >= -u_i, so they limit gamma from above like negative bounds.
-    mats, cap_coef, bounds = _normalized_rows(problem)
+    _, mats, cap_coef, bounds = problem._form
     val = _row_values(mats, cap_coef, x)
     lifting = bounds > 0.0
     if np.any(val[lifting] <= 0.0):
@@ -467,15 +456,14 @@ def _polish_witness(
     return x, margin
 
 
-def _solve_max_slack(problem: SdpProblem) -> tuple[float, np.ndarray, float, bool]:
+def _solve_max_slack(form: tuple) -> tuple[float, np.ndarray, float, bool]:
     """Maximize the common relaxation slack t (capped at 1).
 
     Rows with a zero bound are not relaxed; their scale would be meaningless.
     Caps are never relaxed. Returns (t_star, X, rel_gap, converged).
     """
-    k = problem.dimension
-    mats, cap_coef, bounds = _normalized_rows(problem)
-    n_rows = bounds.size
+    _, mats, cap_coef, bounds = form
+    k, n_rows = mats.shape[1], bounds.size
     # After row normalization the slack coefficient is |b| / scale.
     relax = np.abs(bounds)
     relax[mats.shape[0] :] = 0.0
@@ -498,13 +486,12 @@ def _solve_max_slack(problem: SdpProblem) -> tuple[float, np.ndarray, float, boo
     return t_star, x, _rel_gap(p_obj, d_obj), ok
 
 
-def _solve_trace_objective(problem: SdpProblem) -> tuple[float, np.ndarray, float, float, bool]:
+def _solve_trace_objective(form: tuple) -> tuple[float, np.ndarray, float, float, bool]:
     """Minimize the trace objective; returns (obj, X, rel_gap, dual_obj, ok)."""
-    mats, cap_coef, bounds = _normalized_rows(problem)
-    n_rows = bounds.size
     # The objective stays in original units so the interior-point duality gap
     # certifies the reported one; row scaling alone leaves b.y unchanged.
-    c_mat = problem.objective
+    c_mat, mats, cap_coef, bounds = form
+    n_rows = bounds.size
     x, u, y, ok = _run_ipm(c_mat, np.zeros(n_rows), mats, cap_coef, -np.eye(n_rows), bounds)
     # The pairing doubles every trace; halve to report tr(C X).
     p_obj = 0.5 * _pair(c_mat, x)
@@ -520,16 +507,16 @@ def solve_min_trace(problem: SdpProblem) -> SdpSolution:
     """
     if problem.is_feasibility:
         raise DomainError("problem has no objective; use solve_feasibility")
-    reduced, keep = _reduce_zero_caps(problem)
-    if reduced is None:
+    keep, form = _live(problem)
+    if keep.size == 0:
         return _all_frozen(problem, np.inf)
 
-    t_star, x_slack, _, ok_slack = _solve_max_slack(reduced)
+    t_star, x_slack, _, ok_slack = _solve_max_slack(form)
     if ok_slack and t_star < -_FEAS_TOL:
         x_slack = _expand(x_slack, keep, problem.dimension)
         return _solution(problem, x_slack, SdpStatus.INFEASIBLE, np.inf, np.inf)
 
-    obj, x, rel_gap, d_obj, ok = _solve_trace_objective(reduced)
+    obj, x, rel_gap, d_obj, ok = _solve_trace_objective(form)
     sol = _solution(problem, _expand(x, keep, problem.dimension), SdpStatus.OPTIMAL, obj, rel_gap)
     # Optimal status certifies the reported metrics, so downgrade whenever
     # either one misses its guarantee even though the solver felt converged.
@@ -549,10 +536,10 @@ def solve_feasibility(problem: SdpProblem) -> SdpSolution:
     achieved by the returned X, which is maximal whenever the solve
     converged (status OPTIMAL together with a small duality gap).
     """
-    reduced, keep = _reduce_zero_caps(problem)
-    if reduced is None:
+    keep, form = _live(problem)
+    if keep.size == 0:
         return _all_frozen(problem, -np.inf)
-    t_star, x_small, rel_gap, ok = _solve_max_slack(reduced)
+    t_star, x_small, rel_gap, ok = _solve_max_slack(form)
     x = _expand(x_small, keep, problem.dimension)
     if ok:
         status = SdpStatus.OPTIMAL if t_star >= -_FEAS_TOL else SdpStatus.INFEASIBLE

@@ -637,16 +637,7 @@ class TestJointScaling:
         [
             ("pooled", 1e-6),
             ("pooled", 1e6),
-            pytest.param(
-                "caps",
-                1e-6,
-                marks=pytest.mark.xfail(
-                    raises=SolverError,
-                    strict=True,
-                    reason="the IPM divides each row by max(1, ||A||, |b|); rows of size 1e-6"
-                    " keep their scale and one feasibility step ends MAX_ITER",
-                ),
-            ),
+            ("caps", 1e-6),
             ("caps", 1e6),
         ],
     )
@@ -670,3 +661,20 @@ class TestJointScaling:
         assert np.all(base > 0.0)
         for c in (1e-6, 1e6):
             np.testing.assert_allclose(rates(c), base, rtol=1e-12)
+
+
+class TestLargeBudget:
+    @pytest.mark.xfail(
+        raises=SolverError,
+        strict=True,
+        reason="near rate 0.9597 one pooled feasibility step stops at mu <= 1e-14 with"
+        " primal residual 1.6e-8 and relative gap 1.06e-8, just past the 1e-8 allowance",
+    )
+    def test_pooled_rate_reaches_caps_rate(self):
+        # Five caps of 2e5 W sum to the pooled 1e6 W, so the pooled rate is at
+        # least the caps rate; both saturate toward the relay-noise limit.
+        ch = draw_nonreciprocal(np.random.default_rng(0), 5)
+        sp = unit_params(5)
+        capped = algorithm2_individual(ch, sp, np.full(5, 2e5), 0.0)[0]
+        assert capped == pytest.approx(0.95959, abs=1e-5)
+        assert algorithm1_sum_power(ch, sp, 1e6, 0.0)[0] >= capped - 1e-4

@@ -411,6 +411,54 @@ class TestStructuredRows:
         assert least.objective == pytest.approx(0.0, abs=1e-7)
 
 
+class TestRowScale:
+    @pytest.mark.parametrize("c", [2.0**-20, 2.0**20])
+    def test_power_of_two_row_scaling_leaves_solve_bit_identical(self, c):
+        # Each row is divided by its own size, so scaling a row by a power of
+        # two leaves the normalized form, and with it every iterate, unchanged.
+        ch = draw_nonreciprocal(np.random.default_rng(3), 3)
+        sp = unit_params(3)
+        p = np.array([2.0, 3.0, 1.0])
+        d = noise_matrices(ch, sp).d
+        r_top = r_max_bound(ch, sp, IndividualPower(p))
+        objective = np.diag(d).astype(complex)
+        seen = set()
+        for frac in (0.3, 0.8):
+            rows = snr_constraint_rows(ch, sp, *snr_targets(0.5, frac * r_top))
+            scaled = tuple((c * a, c * b) for a, b in rows)
+            for goal, solve in ((FEASIBILITY, solve_feasibility), (objective, solve_min_trace)):
+                base = solve(SdpProblem(3, goal, rows, caps=p / d))
+                sol = solve(SdpProblem(3, goal, scaled, caps=p / d))
+                assert sol.status is base.status
+                assert sol.objective == base.objective
+                np.testing.assert_array_equal(sol.x, base.x)
+                seen.add(base.status)
+        assert seen == {SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE}
+
+
+class TestZeroCapsMinTrace:
+    E22 = np.diag([0.0, 1.0]).astype(complex)
+    EYE = np.eye(2, dtype=complex)
+
+    def test_partial_zero_cap_freezes_its_dimension(self):
+        c = np.diag([1.0, 2.0]).astype(complex)
+        sol = solve_min_trace(SdpProblem(2, c, ((self.E22, 1.0),), caps=[0.0, 5.0]))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.objective == pytest.approx(2.0, abs=1e-7)
+        assert np.all(sol.x[0, :] == 0.0)
+        assert np.all(sol.x[:, 0] == 0.0)
+
+    def test_all_frozen_with_positive_bound_is_infeasible(self):
+        sol = solve_min_trace(SdpProblem(2, self.EYE, ((self.EYE, 1.0),), caps=[0.0, 0.0]))
+        assert sol.status is SdpStatus.INFEASIBLE
+        assert sol.objective == np.inf
+
+    def test_all_frozen_with_zero_bound_is_solved_at_zero(self):
+        sol = solve_min_trace(SdpProblem(2, self.EYE, ((self.EYE, 0.0),), caps=[0.0, 0.0]))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.objective == 0.0
+
+
 class TestWeakDuality:
     def test_dual_bound_above_minimum_raises(self, monkeypatch):
         real = sdp._solve_trace_objective
